@@ -33,8 +33,6 @@ pinConfig(double shift_gbps)
                                       sim::IntegrationDomain::OnBoard);
     config.memory.dramBytesPerCycle = 256.0 - shift_gbps;
     config.interGpmBytesPerCycle = 128.0 + shift_gbps;
-    config.name += "/pins-" + std::to_string(
-        static_cast<int>(shift_gbps));
     return config;
 }
 

@@ -45,10 +45,13 @@ class Fnv1a
     }
 
     /** Mix one 64-bit word (little-endian byte order, fixed). */
+    Fnv1a &add(std::uint64_t word) { return addLow(word, 8); }
+
+    /** Mix the low @p bytes bytes of @p word, little-endian (fixed). */
     Fnv1a &
-    add(std::uint64_t word)
+    addLow(std::uint64_t word, std::size_t bytes)
     {
-        for (int i = 0; i < 8; ++i) {
+        for (std::size_t i = 0; i < bytes; ++i) {
             digest_ ^= (word >> (8 * i)) & 0xffu;
             digest_ *= prime;
         }

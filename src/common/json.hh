@@ -127,6 +127,13 @@ class JsonValue
  */
 std::optional<JsonValue> parseJson(const std::string &text);
 
+/** A double as a C99 hexfloat string ("%a"): exact through strtod. */
+std::string encodeHexDouble(double value);
+
+/** Decode a hexfloat string; false when @p value is missing, not a
+ *  string, or malformed. */
+bool decodeHexDouble(const JsonValue *value, double &out);
+
 } // namespace mmgpu
 
 #endif // MMGPU_COMMON_JSON_HH

@@ -11,6 +11,7 @@
 #ifndef MMGPU_COMMON_UNITS_HH
 #define MMGPU_COMMON_UNITS_HH
 
+#include <compare>
 #include <cstdint>
 
 namespace mmgpu
@@ -112,6 +113,17 @@ class ClockDomain
     bytesPerCycle(double bytes_per_second) const
     {
         return bytes_per_second / freqHz;
+    }
+
+    constexpr auto operator<=>(const ClockDomain &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[freqHz] = self;
+        v("freqHz", freqHz);
     }
 
   private:

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/fields.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 
@@ -27,12 +28,7 @@ LinkFaultSpec::digest() const
     if (faults.empty())
         return 0;
     Fnv1a hash;
-    hash.add(static_cast<std::uint64_t>(faults.size()));
-    for (const LinkFault &fault : faults) {
-        hash.add(fault.gpm);
-        hash.add(fault.channel);
-        hash.add(fault.capacityScale);
-    }
+    hashFields(hash, *this);
     return hash.digest();
 }
 

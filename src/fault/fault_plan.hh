@@ -19,6 +19,7 @@
 #ifndef MMGPU_FAULT_FAULT_PLAN_HH
 #define MMGPU_FAULT_FAULT_PLAN_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -88,6 +89,19 @@ struct LinkFault
     double capacityScale = 1.0;
 
     bool failed() const { return capacityScale == 0.0; }
+
+    auto operator<=>(const LinkFault &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[gpm, channel, capacityScale] = self;
+        v("gpm", gpm);
+        v("channel", channel);
+        v("capacityScale", capacityScale);
+    }
 };
 
 /** The set of link faults applied to one configuration. */
@@ -97,12 +111,20 @@ struct LinkFaultSpec
 
     bool empty() const { return faults.empty(); }
 
-    /**
-     * Order-sensitive FNV-1a digest; 0 for the empty spec. Folded
-     * into run fingerprints and memo keys so degraded runs never
-     * alias healthy ones.
-     */
+    /** Order-sensitive FNV-1a digest of the field list; 0 for the
+     *  empty spec. */
     std::uint64_t digest() const;
+
+    auto operator<=>(const LinkFaultSpec &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[faults] = self;
+        v("faults", faults);
+    }
 };
 
 /**

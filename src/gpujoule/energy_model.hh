@@ -125,6 +125,25 @@ struct EnergyBreakdown
     Joules dramToL2 = 0.0;   //!< "DRAM -> L2"
     Joules interModule = 0.0; //!< "Inter-Module" link + switch energy
 
+    bool operator==(const EnergyBreakdown &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[smBusy, smIdle, constant, shmToReg, l1ToReg, l2ToL1,
+               dramToL2, interModule] = self;
+        v("smBusy", smBusy);
+        v("smIdle", smIdle);
+        v("constant", constant);
+        v("shmToReg", shmToReg);
+        v("l1ToReg", l1ToReg);
+        v("l2ToL1", l2ToL1);
+        v("dramToL2", dramToL2);
+        v("interModule", interModule);
+    }
+
     /** Total GPU energy. */
     Joules
     total() const

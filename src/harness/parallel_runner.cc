@@ -11,23 +11,6 @@
 namespace mmgpu::harness
 {
 
-namespace
-{
-
-RunKey
-keyFor(const sim::GpuConfig &config,
-       const trace::KernelProfile &profile, double link_energy_scale,
-       double const_growth_override)
-{
-    return RunKey{config.name, profile.name,
-                  static_cast<std::uint8_t>(config.placement),
-                  static_cast<std::uint8_t>(config.ctaScheduling),
-                  link_energy_scale, const_growth_override,
-                  config.linkFaults.digest()};
-}
-
-} // namespace
-
 ParallelRunner::ParallelRunner(ScalingRunner &runner, unsigned workers)
     : runner_(&runner),
       workers_(workers > 0 ? workers : defaultWorkers())
@@ -58,12 +41,10 @@ ParallelRunner::enqueue(const sim::GpuConfig &config,
     if (runner_->cached(config, profile, link_energy_scale,
                         const_growth_override))
         return;
-    RunKey key = keyFor(config, profile, link_energy_scale,
-                        const_growth_override);
-    if (!queued_.insert(std::move(key)).second)
-        return;
-    jobs_.push_back(Job{config, profile, link_energy_scale,
-                        const_growth_override});
+    RunKey key{config, profile, link_energy_scale,
+               const_growth_override};
+    if (queued_.insert(key).second)
+        jobs_.push_back(std::move(key));
 }
 
 void
@@ -83,7 +64,7 @@ ParallelRunner::enqueueStudy(
 DrainReport
 ParallelRunner::drain()
 {
-    std::vector<Job> jobs = std::move(jobs_);
+    std::vector<RunKey> jobs = std::move(jobs_);
     jobs_.clear();
     queued_.clear();
     DrainReport report;
@@ -107,7 +88,7 @@ ParallelRunner::drain()
     auto work = [&](std::size_t index) {
         JobState &state = states[index];
         state.startMs.store(now_ms(), std::memory_order_release);
-        const Job &job = jobs[index];
+        const RunKey &job = jobs[index];
         Result<const RunOutcome *> result = runner_->tryRun(
             job.config, job.profile, job.linkEnergyScale,
             job.constGrowthOverride, &state.cancel);
@@ -122,10 +103,8 @@ ParallelRunner::drain()
             }
         } else {
             std::lock_guard<std::mutex> lock(report_mutex);
-            report.failures.push_back(PointFailure{
-                keyFor(job.config, job.profile, job.linkEnergyScale,
-                       job.constGrowthOverride),
-                result.error()});
+            report.failures.push_back(
+                PointFailure{job, result.error()});
         }
     };
 

@@ -128,20 +128,12 @@ class ParallelRunner
     DrainReport drain();
 
   private:
-    struct Job
-    {
-        sim::GpuConfig config;
-        trace::KernelProfile profile;
-        double linkEnergyScale;
-        double constGrowthOverride;
-    };
-
     ScalingRunner *runner_;
     unsigned workers_;
     double watchdogSeconds_ = 0.0;
     std::size_t checkpointEvery_ = 0;
-    std::vector<Job> jobs_;
-    std::set<RunKey> queued_; //!< duplicate suppression per batch
+    std::vector<RunKey> jobs_; //!< enqueue order
+    std::set<RunKey> queued_;  //!< duplicate suppression per batch
 };
 
 } // namespace mmgpu::harness

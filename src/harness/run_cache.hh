@@ -11,18 +11,18 @@
  * binary computes is free for the next.
  *
  * Keys are a 64-bit FNV-1a fingerprint over *every* input that can
- * change a result: the full GpuConfig (including the derived memory
- * configuration), the full KernelProfile (mixes, segments, seeds,
- * access descriptors), the link-energy scale and constant-growth
+ * change a result: the GpuConfig and KernelProfile field lists
+ * (common/fields.hh), the link-energy scale and constant-growth
  * overrides, the calibration outcome the energy model used, and a
  * schema-version salt. Bumping `runCacheSchemaVersion` invalidates
  * every existing cache file; stale or corrupt files degrade to a
  * cache miss, never an error.
  *
- * Serialization is exact: doubles are stored as C99 hexfloat strings
- * ("%a") and event counts as decimal strings, so a cache round-trip
- * is bit-identical to the freshly computed result — the determinism
- * tests assert this.
+ * Serialization walks the PerfResult and EnergyBreakdown field lists
+ * and is exact: doubles are stored as C99 hexfloat strings ("%a") and
+ * event counts as decimal strings, so a cache read equals the freshly
+ * computed result under == on every field — the determinism tests
+ * assert this.
  *
  * Escape hatches: `MMGPU_NO_CACHE=1` disables the process-wide cache
  * entirely; `MMGPU_CACHE_DIR=<dir>` relocates it (used by the test
@@ -72,7 +72,7 @@ namespace mmgpu::harness
  * header. Bump when the simulator, the energy model, or the
  * serialized layout changes meaning.
  */
-constexpr std::uint64_t runCacheSchemaVersion = 3;
+constexpr std::uint64_t runCacheSchemaVersion = 4;
 
 /** Fingerprint of a calibration outcome (energy-param inputs). */
 std::uint64_t
@@ -196,6 +196,16 @@ class RunCache
     {
         sim::PerfResult perf;
         joule::EnergyBreakdown energy;
+
+        /** The field list (common/fields.hh). */
+        template <typename Self, typename Visit>
+        static void
+        fields(Self &self, Visit &&v)
+        {
+            auto &[perf, energy] = self;
+            v("perf", perf);
+            v("energy", energy);
+        }
     };
 
     void loadLocked() MMGPU_REQUIRES(mutex_);

@@ -1,12 +1,10 @@
 #include "harness/study.hh"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <type_traits>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 
 #include "common/contract.hh"
@@ -27,38 +25,67 @@ namespace
 {
 
 /**
- * Containers whose element references survive insertion of other
- * elements. The memo cache hands out references into its map while
- * worker threads keep inserting, so node stability is load-bearing;
- * this trait turns a casual container swap (e.g. to a flat/vector-
- * backed map, whose elements relocate) into a compile error instead
- * of a silent dangling reference. std::map and std::unordered_map
- * both qualify ([associative.reqmts]/[unord.req]: insertion never
- * invalidates references to existing elements — unordered rehash
- * invalidates iterators, not references).
+ * A run's inputs by reference: the memo finds an entry without
+ * copying the configuration or the profile, and copies them into a
+ * RunKey only when it inserts.
  */
-template <typename M>
-struct is_node_stable_map : std::false_type
+using RunRef = std::tuple<const sim::GpuConfig &,
+                          const trace::KernelProfile &, const double &,
+                          const double &>;
+
+/**
+ * The memo's order over RunKeys and RunRefs alike (heterogeneous
+ * lookup): the two names first, then every input. The names tell
+ * almost any two sweep points apart with one string compare each,
+ * where the inputs' own order walks a whole GpuConfig before it
+ * reaches the profile.
+ */
+struct RunKeyLess
 {
+    using is_transparent = void;
+
+    static RunRef
+    ref(const RunKey &key)
+    {
+        const auto &[config, profile, scale, growth] = key;
+        return {config, profile, scale, growth};
+    }
+
+    static const RunRef &ref(const RunRef &run) { return run; }
+
+    static auto
+    ordered(const RunRef &run)
+    {
+        const auto &[config, profile, scale, growth] = run;
+        return std::tie(config.name, profile.name, config, profile, scale,
+                        growth);
+    }
+
+    template <typename A, typename B>
+    bool
+    operator()(const A &a, const B &b) const
+    {
+        return ordered(ref(a)) < ordered(ref(b));
+    }
 };
-template <typename K, typename V, typename C, typename A>
-struct is_node_stable_map<std::map<K, V, C, A>> : std::true_type
+
+/**
+ * The memo entry for @p run, or end(). One descent and an equality
+ * check, where find() would order-compare the found entry's inputs a
+ * second time.
+ */
+template <typename Map>
+typename Map::iterator
+findRun(Map &entries, const RunRef &run)
 {
-};
-template <typename K, typename V, typename H, typename E, typename A>
-struct is_node_stable_map<std::unordered_map<K, V, H, E, A>>
-    : std::true_type
-{
-};
+    auto it = entries.lower_bound(run);
+    if (it != entries.end() && RunKeyLess::ref(it->first) == run)
+        return it;
+    return entries.end();
+}
 
 } // namespace
 
-/**
- * Sharded memo cache. A shard is a mutex-protected map; the mutex
- * covers only entry lookup/insertion (microseconds), while the
- * per-entry once_flag serializes the actual simulation of one key
- * (seconds) without blocking other keys in the same shard.
- */
 /**
  * One memoized point: exactly one thread computes it (per-entry
  * once_flag); the outcome or the failure is then shared by every
@@ -73,97 +100,38 @@ struct ScalingRunner::Entry
     std::optional<SimError> error;
 };
 
+/**
+ * The memo cache: one map under one mutex. The mutex covers only the
+ * lookup or insertion (well under a microsecond); the per-entry
+ * once_flag serializes the simulation of one key (tenths of a second
+ * and up) without blocking other keys. Each entry is its own
+ * allocation, so the references run() hands out stay valid while
+ * other threads insert, whatever the container does with its nodes.
+ */
 struct ScalingRunner::Cache
 {
-    using ShardMap = std::map<RunKey, Entry>;
-    static_assert(is_node_stable_map<ShardMap>::value,
-                  "run() returns references into this map while "
-                  "other threads insert; the container must keep "
-                  "element addresses stable under insertion");
-
-    struct Shard
-    {
-        std::mutex mutex;
-        ShardMap entries MMGPU_GUARDED_BY(mutex);
-    };
-
-    static constexpr std::size_t shardCount = 8;
-    std::array<Shard, shardCount> shards;
-
-    static std::uint64_t
-    hashOf(const RunKey &key)
-    {
-        Fnv1a hash;
-        hash.add(key.config);
-        hash.add(key.workload);
-        hash.add(key.topology);
-        hash.add(key.placement);
-        hash.add(key.ctaScheduling);
-        hash.add(key.linkEnergyScale);
-        hash.add(key.constGrowthOverride);
-        hash.add(key.linkFaultDigest);
-        return hash.digest();
-    }
-
-    Shard &
-    shardFor(const RunKey &key)
-    {
-        return shards[hashOf(key) % shardCount];
-    }
+    std::mutex mutex;
+    std::map<RunKey, std::unique_ptr<Entry>, RunKeyLess>
+        entries MMGPU_GUARDED_BY(mutex);
 };
 
 /**
- * Pool of idle build-once machines. GpuSim resets every component
- * before each run, so a pooled machine produces bit-identical
- * results to a freshly constructed one (test_gpu_sim.cc proves
- * this); pooling removes the per-point hierarchy construction from
- * sweeps. Keyed by machine identity — the same convention the memo
- * key uses (the config name stands in for the full configuration),
- * narrowed to the fields that shape the machine itself; energy
- * overrides don't build different machines.
+ * Pool of idle build-once machines, keyed by the configuration they
+ * were built for. GpuSim resets every component before each run, so
+ * a pooled machine produces bit-identical results to a freshly
+ * constructed one (test_gpu_sim.cc proves this); pooling removes the
+ * per-point hierarchy construction from sweeps. Energy overrides
+ * don't build different machines.
  */
 struct ScalingRunner::MachinePool
 {
-    struct MachineKey
-    {
-        std::string config;
-        std::uint8_t topology = 0;
-        std::uint8_t placement = 0;
-        std::uint8_t ctaScheduling = 0;
-        std::uint64_t linkFaultDigest = 0;
-
-        friend bool
-        operator<(const MachineKey &a, const MachineKey &b)
-        {
-            if (int c = a.config.compare(b.config))
-                return c < 0;
-            if (a.topology != b.topology)
-                return a.topology < b.topology;
-            if (a.placement != b.placement)
-                return a.placement < b.placement;
-            if (a.ctaScheduling != b.ctaScheduling)
-                return a.ctaScheduling < b.ctaScheduling;
-            return a.linkFaultDigest < b.linkFaultDigest;
-        }
-    };
-
-    static MachineKey
-    keyOf(const sim::GpuConfig &config)
-    {
-        return {config.name,
-                static_cast<std::uint8_t>(config.topology),
-                static_cast<std::uint8_t>(config.placement),
-                static_cast<std::uint8_t>(config.ctaScheduling),
-                config.linkFaults.digest()};
-    }
-
     /** Reuse an idle machine for @p config, or build one. */
     std::unique_ptr<sim::GpuSim>
     acquire(const sim::GpuConfig &config)
     {
         {
             std::lock_guard<std::mutex> lock(mutex);
-            auto it = idle.find(keyOf(config));
+            auto it = idle.find(config);
             if (it != idle.end() && !it->second.empty()) {
                 std::unique_ptr<sim::GpuSim> machine =
                     std::move(it->second.back());
@@ -181,15 +149,15 @@ struct ScalingRunner::MachinePool
     release(std::unique_ptr<sim::GpuSim> machine)
     {
         std::lock_guard<std::mutex> lock(mutex);
-        idle[keyOf(machine->config())].push_back(std::move(machine));
+        idle[machine->config()].push_back(std::move(machine));
     }
 
-    /** Destroy every idle machine under @p key. @return count. */
+    /** Destroy every idle machine built for @p config. @return count. */
     std::size_t
-    retire(const MachineKey &key)
+    retire(const sim::GpuConfig &config)
     {
         std::lock_guard<std::mutex> lock(mutex);
-        auto it = idle.find(key);
+        auto it = idle.find(config);
         if (it == idle.end())
             return 0;
         std::size_t count = it->second.size();
@@ -203,39 +171,21 @@ struct ScalingRunner::MachinePool
     {
         std::lock_guard<std::mutex> lock(mutex);
         std::size_t count = 0;
-        for (auto &[key, machines] : idle)
+        for (auto &[config, machines] : idle)
             count += machines.size();
         idle.clear();
         return count;
     }
 
     std::mutex mutex;
-    std::map<MachineKey, std::vector<std::unique_ptr<sim::GpuSim>>>
+    std::map<sim::GpuConfig, std::vector<std::unique_ptr<sim::GpuSim>>>
         idle MMGPU_GUARDED_BY(mutex);
 };
-
-namespace
-{
-
-RunKey
-makeKey(const sim::GpuConfig &config,
-        const trace::KernelProfile &profile, double link_energy_scale,
-        double const_growth_override)
-{
-    return RunKey{config.name, profile.name,
-                  static_cast<std::uint8_t>(config.topology),
-                  static_cast<std::uint8_t>(config.placement),
-                  static_cast<std::uint8_t>(config.ctaScheduling),
-                  link_energy_scale, const_growth_override,
-                  config.linkFaults.digest()};
-}
-
-} // namespace
 
 std::string
 runKeyName(const RunKey &key)
 {
-    return key.config + "|" + key.workload;
+    return key.config.name + "|" + key.profile.name;
 }
 
 joule::EnergyInputs
@@ -312,7 +262,7 @@ ScalingRunner::~ScalingRunner() = default;
 std::size_t
 ScalingRunner::invalidateMachines(const sim::GpuConfig &config)
 {
-    return machines_->retire(MachinePool::keyOf(config));
+    return machines_->retire(config);
 }
 
 std::size_t
@@ -328,14 +278,20 @@ ScalingRunner::ensure(const sim::GpuConfig &config,
                       double const_growth_override,
                       const std::atomic<bool> *cancel)
 {
-    RunKey key = makeKey(config, profile, link_energy_scale,
-                         const_growth_override);
-    Cache::Shard &shard = cache_->shardFor(key);
+    const RunRef run{config, profile, link_energy_scale,
+                     const_growth_override};
     Entry *entry;
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        entry = &shard.entries.try_emplace(std::move(key))
-                     .first->second;
+        std::lock_guard<std::mutex> lock(cache_->mutex);
+        auto it = findRun(cache_->entries, run);
+        if (it == cache_->entries.end())
+            it = cache_->entries
+                     .try_emplace(RunKey{config, profile,
+                                         link_energy_scale,
+                                         const_growth_override},
+                                  std::make_unique<Entry>())
+                     .first;
+        entry = it->second.get();
     }
     // First caller computes; concurrent callers of the same key
     // block here until the outcome is ready, then share the node.
@@ -387,13 +343,12 @@ ScalingRunner::cached(const sim::GpuConfig &config,
                       double link_energy_scale,
                       double const_growth_override) const
 {
-    RunKey key = makeKey(config, profile, link_energy_scale,
-                         const_growth_override);
-    Cache::Shard &shard = cache_->shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    return it != shard.entries.end() &&
-           it->second.done.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(cache_->mutex);
+    auto it = findRun(cache_->entries,
+                      RunRef{config, profile, link_energy_scale,
+                             const_growth_override});
+    return it != cache_->entries.end() &&
+           it->second->done.load(std::memory_order_acquire);
 }
 
 Result<RunOutcome>

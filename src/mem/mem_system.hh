@@ -21,6 +21,7 @@
 #define MMGPU_MEM_MEM_SYSTEM_HH
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -60,6 +61,31 @@ struct MemConfig
     Cycles dramLatency = 350;
     Cycles nocLatency = 16;
     Cycles sharedLatency = 25;
+
+    auto operator<=>(const MemConfig &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[gpmCount, smsPerGpm, l1BytesPerSm, l1Assoc, l2BytesPerGpm,
+               l2Assoc, dramBytesPerCycle, nocBytesPerCycle, l1Latency,
+               l2Latency, dramLatency, nocLatency, sharedLatency] = self;
+        v("gpmCount", gpmCount);
+        v("smsPerGpm", smsPerGpm);
+        v("l1BytesPerSm", l1BytesPerSm);
+        v("l1Assoc", l1Assoc);
+        v("l2BytesPerGpm", l2BytesPerGpm);
+        v("l2Assoc", l2Assoc);
+        v("dramBytesPerCycle", dramBytesPerCycle);
+        v("nocBytesPerCycle", nocBytesPerCycle);
+        v("l1Latency", l1Latency);
+        v("l2Latency", l2Latency);
+        v("dramLatency", dramLatency);
+        v("nocLatency", nocLatency);
+        v("sharedLatency", sharedLatency);
+    }
 };
 
 /** Event counts the energy model consumes (Eq. 4 inputs). */
@@ -74,15 +100,23 @@ struct MemCounters
     Count localSectors = 0;  //!< sectors served by the local GPM
     Count writebackSectors = 0;
 
-    void
-    reset()
+    void reset() { *this = MemCounters{}; }
+
+    bool operator==(const MemCounters &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
     {
-        txns.fill(0);
-        l1SectorMisses = 0;
-        l2SectorMisses = 0;
-        remoteSectors = 0;
-        localSectors = 0;
-        writebackSectors = 0;
+        auto &[txns, l1SectorMisses, l2SectorMisses, remoteSectors,
+               localSectors, writebackSectors] = self;
+        v("txns", txns);
+        v("l1SectorMisses", l1SectorMisses);
+        v("l2SectorMisses", l2SectorMisses);
+        v("remoteSectors", remoteSectors);
+        v("localSectors", localSectors);
+        v("writebackSectors", writebackSectors);
     }
 };
 

@@ -87,17 +87,25 @@ struct LinkTraffic
      *  only; each one is charged a fixed energy penalty). */
     Count reconfigs = 0;
 
-    void
-    reset()
+    void reset() { *this = LinkTraffic{}; }
+
+    bool operator==(const LinkTraffic &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
     {
-        byteHops = 0;
-        messageBytes = 0;
-        switchBytes = 0;
-        transfers = 0;
-        rerouted = 0;
-        arrivals = 0;
-        deliveredBytes = 0;
-        reconfigs = 0;
+        auto &[byteHops, messageBytes, switchBytes, transfers, rerouted,
+               arrivals, deliveredBytes, reconfigs] = self;
+        v("byteHops", byteHops);
+        v("messageBytes", messageBytes);
+        v("switchBytes", switchBytes);
+        v("transfers", transfers);
+        v("rerouted", rerouted);
+        v("arrivals", arrivals);
+        v("deliveredBytes", deliveredBytes);
+        v("reconfigs", reconfigs);
     }
 };
 

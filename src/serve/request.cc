@@ -1,8 +1,6 @@
 #include "serve/request.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
+#include "common/fields.hh"
 #include "common/hash.hh"
 #include "noc/topology_registry.hh"
 
@@ -116,15 +114,10 @@ RunSpec::config() const
 std::uint64_t
 RunSpec::machineIdentity() const
 {
-    // Mirrors the harness MachinePool key: the fields that shape the
-    // built machine, not the workload or the energy knobs.
-    sim::GpuConfig built = config();
+    // The harness MachinePool keys on the whole GpuConfig; hashing
+    // its field list keeps routing affinity in step with the pool.
     Fnv1a hash(identitySalt);
-    hash.add(built.name);
-    hash.add(built.topology);
-    hash.add(built.placement);
-    hash.add(built.ctaScheduling);
-    hash.add(built.linkFaults.digest());
+    hashFields(hash, config());
     return hash.digest();
 }
 
@@ -436,25 +429,6 @@ parseResponse(const std::string &line)
                                "'");
     }
     return response;
-}
-
-std::string
-encodeHexDouble(double value)
-{
-    char buffer[48];
-    std::snprintf(buffer, sizeof(buffer), "%a", value);
-    return buffer;
-}
-
-bool
-decodeHexDouble(const JsonValue *value, double &out)
-{
-    if (value == nullptr || !value->isString())
-        return false;
-    const std::string &text = value->asString();
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return !text.empty() && end == text.c_str() + text.size();
 }
 
 JsonValue

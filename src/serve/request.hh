@@ -96,10 +96,11 @@ struct RunSpec
     sim::GpuConfig config() const;
 
     /**
-     * Identity of the *machine* the spec needs — config name, NUMA
-     * policies — ignoring workload and energy knobs. The router uses
+     * Identity of the *machine* the spec needs — a hash of config()'s
+     * field list, ignoring workload and energy knobs. The router uses
      * this for shard affinity: requests that can reuse a pooled
-     * machine should land on the shard already holding one.
+     * machine (the pool keys on the same GpuConfig) should land on
+     * the shard already holding one.
      */
     std::uint64_t machineIdentity() const;
 };
@@ -196,11 +197,10 @@ JsonValue
 encodeStudy(const sim::GpuConfig &config,
             const std::vector<harness::ScalingPoint> &points);
 
-/** Exact hexfloat codec shared by the encoders and the verifier. */
-std::string encodeHexDouble(double value);
-
-/** Decode a hexfloat string; false on malformed text. */
-bool decodeHexDouble(const JsonValue *value, double &out);
+/** The exact hexfloat codec (common/json.hh), shared by the encoders
+ *  and the verifier. */
+using ::mmgpu::decodeHexDouble;
+using ::mmgpu::encodeHexDouble;
 
 } // namespace mmgpu::serve
 

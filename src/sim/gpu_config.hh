@@ -13,6 +13,7 @@
 #ifndef MMGPU_SIM_GPU_CONFIG_HH
 #define MMGPU_SIM_GPU_CONFIG_HH
 
+#include <compare>
 #include <string>
 #include <vector>
 
@@ -104,12 +105,38 @@ struct GpuConfig
     /** Core clock. All configurations run at 1 GHz. */
     ClockDomain clock{1.0e9};
 
-    /**
-     * Degraded or failed inter-GPM links for fault studies. Empty in
-     * every healthy configuration (and excluded from run
-     * fingerprints when empty, so healthy caches are unaffected).
-     */
+    /** Degraded or failed inter-GPM links for fault studies. Empty
+     *  in every healthy configuration. */
     fault::LinkFaultSpec linkFaults;
+
+    auto operator<=>(const GpuConfig &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[name, gpmCount, smsPerGpm, warpSlotsPerSm,
+               issueSlotsPerCycle, memory, topology, domain, placement,
+               ctaScheduling, interGpmBytesPerCycle, hopLatency,
+               switchLatency, launchOverhead, clock, linkFaults] = self;
+        v("name", name);
+        v("gpmCount", gpmCount);
+        v("smsPerGpm", smsPerGpm);
+        v("warpSlotsPerSm", warpSlotsPerSm);
+        v("issueSlotsPerCycle", issueSlotsPerCycle);
+        v("memory", memory);
+        v("topology", topology);
+        v("domain", domain);
+        v("placement", placement);
+        v("ctaScheduling", ctaScheduling);
+        v("interGpmBytesPerCycle", interGpmBytesPerCycle);
+        v("hopLatency", hopLatency);
+        v("switchLatency", switchLatency);
+        v("launchOverhead", launchOverhead);
+        v("clock", clock);
+        v("linkFaults", linkFaults);
+    }
 
     /** Total SMs across the GPU. */
     unsigned totalSms() const { return gpmCount * smsPerGpm; }

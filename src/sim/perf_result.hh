@@ -70,6 +70,37 @@ struct PerfResult
     /** Busy cycles summed over all DRAM channels. */
     double dramBusy = 0.0;
 
+    bool operator==(const PerfResult &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[configName, workloadName, execCycles, execSeconds, instrs,
+               mem, link, smBusyCycles, smStallCycles, smOccupiedCycles,
+               l1Accesses, l1SectorHits, l2Accesses, l2SectorHits,
+               dramQueueing, linkQueueing, linkBusy, dramBusy] = self;
+        v("configName", configName);
+        v("workloadName", workloadName);
+        v("execCycles", execCycles);
+        v("execSeconds", execSeconds);
+        v("instrs", instrs);
+        v("mem", mem);
+        v("link", link);
+        v("smBusyCycles", smBusyCycles);
+        v("smStallCycles", smStallCycles);
+        v("smOccupiedCycles", smOccupiedCycles);
+        v("l1Accesses", l1Accesses);
+        v("l1SectorHits", l1SectorHits);
+        v("l2Accesses", l2Accesses);
+        v("l2SectorHits", l2SectorHits);
+        v("dramQueueing", dramQueueing);
+        v("linkQueueing", linkQueueing);
+        v("linkBusy", linkBusy);
+        v("dramBusy", dramBusy);
+    }
+
     /** Total warp-level instructions executed. */
     Count
     totalWarpInstrs() const

@@ -14,6 +14,7 @@
 #ifndef MMGPU_TRACE_KERNEL_PROFILE_HH
 #define MMGPU_TRACE_KERNEL_PROFILE_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,6 +63,18 @@ struct DataSegment
 {
     std::string name;
     Bytes bytes = 0;
+
+    auto operator<=>(const DataSegment &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[name, bytes] = self;
+        v("name", name);
+        v("bytes", bytes);
+    }
 };
 
 /** Per-iteration access behaviour against one segment. */
@@ -103,6 +116,24 @@ struct SegmentAccess
      * how surface-to-volume remote traffic grows with GPM count.
      */
     unsigned haloStride = 64;
+
+    auto operator<=>(const SegmentAccess &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[segment, pattern, perIteration, divergence, irregular,
+               haloFraction, haloStride] = self;
+        v("segment", segment);
+        v("pattern", pattern);
+        v("perIteration", perIteration);
+        v("divergence", divergence);
+        v("irregular", irregular);
+        v("haloFraction", haloFraction);
+        v("haloStride", haloStride);
+    }
 };
 
 /** (opcode, count-per-iteration) pair of the compute mix. */
@@ -110,6 +141,18 @@ struct ComputeMix
 {
     isa::Opcode op;
     unsigned perIteration;
+
+    auto operator<=>(const ComputeMix &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[op, perIteration] = self;
+        v("op", op);
+        v("perIteration", perIteration);
+    }
 };
 
 /**
@@ -173,6 +216,33 @@ struct KernelProfile
      */
     Seconds hwKernelSeconds = 0.05;
     Seconds hwGapSeconds = 2e-3;
+
+    auto operator<=>(const KernelProfile &) const = default;
+
+    /** The field list (common/fields.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        auto &[name, cls, ctaCount, warpsPerCta, iterations, launches,
+               mlp, compute, sharedLoadsPerIter, loads, stores,
+               segments, seed, hwKernelSeconds, hwGapSeconds] = self;
+        v("name", name);
+        v("cls", cls);
+        v("ctaCount", ctaCount);
+        v("warpsPerCta", warpsPerCta);
+        v("iterations", iterations);
+        v("launches", launches);
+        v("mlp", mlp);
+        v("compute", compute);
+        v("sharedLoadsPerIter", sharedLoadsPerIter);
+        v("loads", loads);
+        v("stores", stores);
+        v("segments", segments);
+        v("seed", seed);
+        v("hwKernelSeconds", hwKernelSeconds);
+        v("hwGapSeconds", hwGapSeconds);
+    }
 
     /** Total warps per launch. */
     unsigned totalWarps() const { return ctaCount * warpsPerCta; }

@@ -87,8 +87,8 @@ TEST(FaultHarness, PoisonedPointIsIsolatedAndReported)
     EXPECT_FALSE(report.ok());
     ASSERT_EQ(report.failures.size(), 1u);
     const PointFailure &failure = report.failures.front();
-    EXPECT_EQ(failure.key.config, config.name);
-    EXPECT_EQ(failure.key.workload, "fh2");
+    EXPECT_EQ(failure.key.config, config);
+    EXPECT_EQ(failure.key.profile, workloads[1]);
     EXPECT_EQ(failure.error.code, ErrCode::InjectedFault);
     EXPECT_EQ(report.completed, total - 1);
     EXPECT_EQ(runKeyName(failure.key), config.name + "|fh2");
@@ -149,7 +149,7 @@ TEST(FaultHarness, WatchdogCancelsInjectedHang)
     EXPECT_LT(elapsed, 15.0);
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures.front().error.code, ErrCode::Timeout);
-    EXPECT_EQ(report.failures.front().key.workload, "fh1");
+    EXPECT_EQ(report.failures.front().key.profile.name, "fh1");
     EXPECT_EQ(report.completed, total - 1);
 }
 

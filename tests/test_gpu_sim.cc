@@ -392,38 +392,9 @@ TEST(GpuSim, PolicyKnobsDoNotChangeWorkDone)
 // ------------------------------------------------------------- //
 // Build-once / reset-per-run: a machine constructed once and reset
 // between runs must be bit-identical to a machine rebuilt from
-// scratch for every run — PerfResult for PerfResult, field for
-// field. These tests are the acceptance gate for the engine-layer
-// refactor; EXPECT_DOUBLE_EQ (exact compare) everywhere, no
-// tolerances.
-
-void
-expectBitIdentical(const PerfResult &a, const PerfResult &b)
-{
-    EXPECT_DOUBLE_EQ(a.execCycles, b.execCycles);
-    EXPECT_EQ(a.instrs, b.instrs);
-    EXPECT_EQ(a.mem.txns, b.mem.txns);
-    EXPECT_EQ(a.mem.l1SectorMisses, b.mem.l1SectorMisses);
-    EXPECT_EQ(a.mem.l2SectorMisses, b.mem.l2SectorMisses);
-    EXPECT_EQ(a.mem.remoteSectors, b.mem.remoteSectors);
-    EXPECT_EQ(a.mem.localSectors, b.mem.localSectors);
-    EXPECT_EQ(a.mem.writebackSectors, b.mem.writebackSectors);
-    EXPECT_EQ(a.link.byteHops, b.link.byteHops);
-    EXPECT_EQ(a.link.messageBytes, b.link.messageBytes);
-    EXPECT_EQ(a.link.switchBytes, b.link.switchBytes);
-    EXPECT_EQ(a.link.transfers, b.link.transfers);
-    EXPECT_DOUBLE_EQ(a.linkQueueing, b.linkQueueing);
-    EXPECT_DOUBLE_EQ(a.linkBusy, b.linkBusy);
-    EXPECT_DOUBLE_EQ(a.smBusyCycles, b.smBusyCycles);
-    EXPECT_DOUBLE_EQ(a.smStallCycles, b.smStallCycles);
-    EXPECT_DOUBLE_EQ(a.smOccupiedCycles, b.smOccupiedCycles);
-    EXPECT_EQ(a.l1Accesses, b.l1Accesses);
-    EXPECT_EQ(a.l1SectorHits, b.l1SectorHits);
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.l2SectorHits, b.l2SectorHits);
-    EXPECT_DOUBLE_EQ(a.dramQueueing, b.dramQueueing);
-    EXPECT_DOUBLE_EQ(a.dramBusy, b.dramBusy);
-}
+// scratch for every run — PerfResult for PerfResult, every field
+// compared exactly by its defaulted operator==. These tests are the
+// acceptance gate for the engine-layer refactor.
 
 TEST(GpuSimReuse, ReusedMachineMatchesFreshMachineBitForBit)
 {
@@ -438,7 +409,7 @@ TEST(GpuSimReuse, ReusedMachineMatchesFreshMachineBitForBit)
     for (int run = 0; run < 3; ++run) {
         SCOPED_TRACE("run " + std::to_string(run));
         GpuSim fresh(multiGpmConfig(4, BwSetting::Bw2x));
-        expectBitIdentical(reused.run(profile), fresh.run(profile));
+        EXPECT_EQ(reused.run(profile), fresh.run(profile));
     }
 }
 
@@ -469,10 +440,10 @@ TEST(GpuSimReuse, InterleavedProfilesDoNotContaminateEachOther)
     const PerfResult stream_ref = fresh_stream.run(streaming);
     const PerfResult scatter_ref = fresh_scatter.run(scattered);
 
-    expectBitIdentical(stream_a, stream_ref);
-    expectBitIdentical(stream_b, stream_ref);
-    expectBitIdentical(scatter_a, scatter_ref);
-    expectBitIdentical(scatter_b, scatter_ref);
+    EXPECT_EQ(stream_a, stream_ref);
+    EXPECT_EQ(stream_b, stream_ref);
+    EXPECT_EQ(scatter_a, scatter_ref);
+    EXPECT_EQ(scatter_b, scatter_ref);
 }
 
 TEST(GpuSimReuse, PolicyConfigsKeepTheirIdentityAcrossReuse)
@@ -487,7 +458,7 @@ TEST(GpuSimReuse, PolicyConfigsKeepTheirIdentityAcrossReuse)
     GpuSim striped(config);
     const PerfResult first = striped.run(profile);
     const PerfResult second = striped.run(profile);
-    expectBitIdentical(first, second);
+    EXPECT_EQ(first, second);
     EXPECT_GT(second.remoteFraction(), 0.5);
 }
 
@@ -507,7 +478,7 @@ TEST(GpuSimReuse, TelemetryAttachDetachReattachOnOneMachine)
             telemetry::TelemetryConfig{512.0});
         machine.attachTelemetry(&telemetry);
         const PerfResult instrumented = machine.run(profile);
-        expectBitIdentical(instrumented, bare_first);
+        EXPECT_EQ(instrumented, bare_first);
         const telemetry::Counter *warp_events =
             telemetry.counters().findCounter("sim/events_warp");
         ASSERT_NE(warp_events, nullptr);
@@ -516,12 +487,12 @@ TEST(GpuSimReuse, TelemetryAttachDetachReattachOnOneMachine)
     }
 
     const PerfResult bare_again = machine.run(profile);
-    expectBitIdentical(bare_again, bare_first);
+    EXPECT_EQ(bare_again, bare_first);
 
     telemetry::Telemetry second(telemetry::TelemetryConfig{0.0});
     machine.attachTelemetry(&second);
     const PerfResult reattached = machine.run(profile);
-    expectBitIdentical(reattached, bare_first);
+    EXPECT_EQ(reattached, bare_first);
     const telemetry::Counter *mem_events =
         second.counters().findCounter("sim/events_mem");
     ASSERT_NE(mem_events, nullptr);

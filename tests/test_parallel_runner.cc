@@ -76,38 +76,6 @@ sweepConfigs()
     };
 }
 
-void
-expectIdentical(const RunOutcome &a, const RunOutcome &b)
-{
-    // Bit-exact equality, not tolerance: parallel execution must not
-    // perturb results at all.
-    EXPECT_EQ(a.perf.execCycles, b.perf.execCycles);
-    EXPECT_EQ(a.perf.execSeconds, b.perf.execSeconds);
-    EXPECT_EQ(a.perf.instrs, b.perf.instrs);
-    EXPECT_EQ(a.perf.mem.txns, b.perf.mem.txns);
-    EXPECT_EQ(a.perf.mem.l1SectorMisses, b.perf.mem.l1SectorMisses);
-    EXPECT_EQ(a.perf.mem.l2SectorMisses, b.perf.mem.l2SectorMisses);
-    EXPECT_EQ(a.perf.mem.remoteSectors, b.perf.mem.remoteSectors);
-    EXPECT_EQ(a.perf.mem.localSectors, b.perf.mem.localSectors);
-    EXPECT_EQ(a.perf.link.byteHops, b.perf.link.byteHops);
-    EXPECT_EQ(a.perf.link.messageBytes, b.perf.link.messageBytes);
-    EXPECT_EQ(a.perf.link.transfers, b.perf.link.transfers);
-    EXPECT_EQ(a.perf.link.rerouted, b.perf.link.rerouted);
-    EXPECT_EQ(a.perf.smBusyCycles, b.perf.smBusyCycles);
-    EXPECT_EQ(a.perf.smStallCycles, b.perf.smStallCycles);
-    EXPECT_EQ(a.perf.smOccupiedCycles, b.perf.smOccupiedCycles);
-    EXPECT_EQ(a.perf.dramQueueing, b.perf.dramQueueing);
-    EXPECT_EQ(a.perf.linkQueueing, b.perf.linkQueueing);
-    EXPECT_EQ(a.energy.smBusy, b.energy.smBusy);
-    EXPECT_EQ(a.energy.smIdle, b.energy.smIdle);
-    EXPECT_EQ(a.energy.constant, b.energy.constant);
-    EXPECT_EQ(a.energy.shmToReg, b.energy.shmToReg);
-    EXPECT_EQ(a.energy.l1ToReg, b.energy.l1ToReg);
-    EXPECT_EQ(a.energy.l2ToL1, b.energy.l2ToL1);
-    EXPECT_EQ(a.energy.dramToL2, b.energy.dramToL2);
-    EXPECT_EQ(a.energy.interModule, b.energy.interModule);
-}
-
 /** Run the whole sweep at @p workers and copy out every outcome. */
 std::vector<RunOutcome>
 runSweep(unsigned workers, RunCache *disk = nullptr)
@@ -140,8 +108,10 @@ TEST(ParallelRunner, BitIdenticalAcrossWorkerCounts)
     ASSERT_EQ(serial.size(), two.size());
     ASSERT_EQ(serial.size(), eight.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        expectIdentical(serial[i], two[i]);
-        expectIdentical(serial[i], eight[i]);
+        EXPECT_EQ(serial[i].perf, two[i].perf);
+        EXPECT_EQ(serial[i].energy, two[i].energy);
+        EXPECT_EQ(serial[i].perf, eight[i].perf);
+        EXPECT_EQ(serial[i].energy, eight[i].energy);
     }
 }
 
@@ -180,20 +150,22 @@ TEST(ParallelRunner, FigureSweepBitIdenticalAcrossWorkersAndReuse)
     const auto eight = sweep(8);
     ASSERT_EQ(serial.size(), configs.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        expectIdentical(serial[i], two[i]);
-        expectIdentical(serial[i], eight[i]);
+        EXPECT_EQ(serial[i].perf, two[i].perf);
+        EXPECT_EQ(serial[i].energy, two[i].energy);
+        EXPECT_EQ(serial[i].perf, eight[i].perf);
+        EXPECT_EQ(serial[i].energy, eight[i].energy);
         // Fresh runner, fresh machine: no pool, no reuse.
         ScalingRunner fresh(context());
-        expectIdentical(serial[i], fresh.run(configs[i], *workload));
+        const RunOutcome &alone = fresh.run(configs[i], *workload);
+        EXPECT_EQ(serial[i].perf, alone.perf);
+        EXPECT_EQ(serial[i].energy, alone.energy);
     }
 }
 
 TEST(ParallelRunner, ReferencesStayValidUnderInsertion)
 {
-    // The memo cache hands out references into its map; inserting
-    // many further keys (splitting across every shard) must not
-    // invalidate them. Backed by the static_assert on map node
-    // stability in study.cc.
+    // The memo cache hands out references to its entries; inserting
+    // many further keys must not invalidate them.
     ScalingRunner runner(context());
     auto first_workload = tinyWorkload("stable", 1);
     const RunOutcome &first =
@@ -209,7 +181,8 @@ TEST(ParallelRunner, ReferencesStayValidUnderInsertion)
     const RunOutcome &again =
         runner.run(sim::baselineConfig(), first_workload);
     EXPECT_EQ(&first, &again); // same node, untouched
-    expectIdentical(copy, first);
+    EXPECT_EQ(copy.perf, first.perf);
+    EXPECT_EQ(copy.energy, first.energy);
 }
 
 TEST(ParallelRunner, PersistentCacheRoundTripsBitExactly)
@@ -233,8 +206,10 @@ TEST(ParallelRunner, PersistentCacheRoundTripsBitExactly)
     auto warm = runSweep(4, &reloaded);
     EXPECT_EQ(reloaded.hits(), computed.size());
     ASSERT_EQ(warm.size(), computed.size());
-    for (std::size_t i = 0; i < warm.size(); ++i)
-        expectIdentical(computed[i], warm[i]);
+    for (std::size_t i = 0; i < warm.size(); ++i) {
+        EXPECT_EQ(computed[i].perf, warm[i].perf);
+        EXPECT_EQ(computed[i].energy, warm[i].energy);
+    }
 
     fs::remove_all("parallel_runner_scratch");
 }
@@ -254,6 +229,26 @@ TEST(ParallelRunner, EnqueueDeduplicatesWork)
     pool.enqueue(config, workload); // already memoized
     EXPECT_EQ(pool.pending(), 0u);
     EXPECT_TRUE(runner.cached(config, workload));
+}
+
+TEST(ParallelRunner, DrainRunsPointsThatDifferOnlyInLinkEnergyScale)
+{
+    // Two points, not one duplicate: the dedup key must carry the
+    // link-energy scale at full precision.
+    ScalingRunner runner(context());
+    runner.attachPersistentCache(nullptr);
+    ParallelRunner pool(runner, 2);
+    auto config = sim::multiGpmConfig(2, sim::BwSetting::Bw2x);
+    auto workload = tinyWorkload("scales", 43);
+
+    pool.enqueue(config, workload, 1.0);
+    pool.enqueue(config, workload, 1.5);
+    EXPECT_EQ(pool.pending(), 2u);
+    DrainReport report = pool.drain();
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.completed, 2u);
+    EXPECT_TRUE(runner.cached(config, workload, 1.0));
+    EXPECT_TRUE(runner.cached(config, workload, 1.5));
 }
 
 TEST(ParallelRunner, DefaultWorkersHonorsEnvOverride)

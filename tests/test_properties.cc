@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "common/rng.hh"
 #include "mem/cache.hh"
 #include "metrics/edpse.hh"
@@ -25,11 +28,17 @@ using namespace mmgpu;
 // Cache invariants over random access streams, across geometries.
 // ---------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter (these
+// structs have no printer), so their padding is a zeroed member: left
+// implicit, it carried stack garbage into the case names, which then
+// changed from build to build.
 struct CacheGeometry
 {
     Bytes capacity;
     unsigned assoc;
+    unsigned padding = 0;
 };
+static_assert(std::has_unique_object_representations_v<CacheGeometry>);
 
 class CacheProperty : public ::testing::TestWithParam<CacheGeometry>
 {
@@ -37,7 +46,7 @@ class CacheProperty : public ::testing::TestWithParam<CacheGeometry>
 
 TEST_P(CacheProperty, SectorAccountingExact)
 {
-    auto [capacity, assoc] = GetParam();
+    auto [capacity, assoc, padding] = GetParam();
     mem::SectoredCache cache("p", capacity, assoc);
     Rng rng(capacity + assoc);
     Count requested_sectors = 0;
@@ -57,7 +66,7 @@ TEST_P(CacheProperty, SectorAccountingExact)
 
 TEST_P(CacheProperty, ImmediateReaccessAlwaysHits)
 {
-    auto [capacity, assoc] = GetParam();
+    auto [capacity, assoc, padding] = GetParam();
     mem::SectoredCache cache("p", capacity, assoc);
     Rng rng(99);
     for (int i = 0; i < 5000; ++i) {
@@ -71,7 +80,7 @@ TEST_P(CacheProperty, ImmediateReaccessAlwaysHits)
 
 TEST_P(CacheProperty, WritebacksOnlyFromWrites)
 {
-    auto [capacity, assoc] = GetParam();
+    auto [capacity, assoc, padding] = GetParam();
     mem::SectoredCache cache("p", capacity, assoc);
     Rng rng(7);
     // Read-only stream: no writeback may ever be reported.
@@ -192,11 +201,15 @@ TEST(EdpseProperty, IdentityHoldsEverywhere)
 // Whole-simulator invariants across access patterns and GPM counts.
 // ---------------------------------------------------------------
 
+// Padded like CacheGeometry above; build points with designated
+// initializers so no value lands in the padding.
 struct SimPoint
 {
     trace::AccessPattern pattern;
+    std::uint8_t padding[3] = {};
     unsigned gpms;
 };
+static_assert(std::has_unique_object_representations_v<SimPoint>);
 
 class SimProperty : public ::testing::TestWithParam<SimPoint>
 {
@@ -204,7 +217,7 @@ class SimProperty : public ::testing::TestWithParam<SimPoint>
 
 TEST_P(SimProperty, CountersConserveAndEnergyInputsFinite)
 {
-    auto [pattern, gpms] = GetParam();
+    auto [pattern, padding, gpms] = GetParam();
     trace::KernelProfile profile;
     profile.name = "prop";
     profile.ctaCount = 128;
@@ -254,15 +267,15 @@ TEST_P(SimProperty, CountersConserveAndEnergyInputsFinite)
 INSTANTIATE_TEST_SUITE_P(
     PatternsByGpms, SimProperty,
     ::testing::Values(
-        SimPoint{trace::AccessPattern::BlockStream, 1},
-        SimPoint{trace::AccessPattern::BlockStream, 4},
-        SimPoint{trace::AccessPattern::Stencil, 1},
-        SimPoint{trace::AccessPattern::Stencil, 4},
-        SimPoint{trace::AccessPattern::Random, 1},
-        SimPoint{trace::AccessPattern::Random, 4},
-        SimPoint{trace::AccessPattern::Broadcast, 4},
-        SimPoint{trace::AccessPattern::Chase, 4},
-        SimPoint{trace::AccessPattern::Random, 8}));
+        SimPoint{.pattern = trace::AccessPattern::BlockStream, .gpms = 1},
+        SimPoint{.pattern = trace::AccessPattern::BlockStream, .gpms = 4},
+        SimPoint{.pattern = trace::AccessPattern::Stencil, .gpms = 1},
+        SimPoint{.pattern = trace::AccessPattern::Stencil, .gpms = 4},
+        SimPoint{.pattern = trace::AccessPattern::Random, .gpms = 1},
+        SimPoint{.pattern = trace::AccessPattern::Random, .gpms = 4},
+        SimPoint{.pattern = trace::AccessPattern::Broadcast, .gpms = 4},
+        SimPoint{.pattern = trace::AccessPattern::Chase, .gpms = 4},
+        SimPoint{.pattern = trace::AccessPattern::Random, .gpms = 8}));
 
 // ---------------------------------------------------------------
 // Warp-trace determinism across every pattern.

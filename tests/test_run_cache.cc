@@ -7,17 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/fields.hh"
 #include "common/wallclock.hh"
-
 #include "harness/run_cache.hh"
+#include "harness/study.hh"
 #include "sim/gpu_config.hh"
 #include "trace/workloads.hh"
 
@@ -61,6 +67,10 @@ fussyPerf()
     perf.link.messageBytes = 77;
     perf.link.switchBytes = 88;
     perf.link.transfers = 99;
+    perf.link.rerouted = 111;
+    perf.link.arrivals = 112;
+    perf.link.deliveredBytes = 113;
+    perf.link.reconfigs = 114;
     perf.smBusyCycles = 1.0 / 3.0;
     perf.smStallCycles = 2.0 / 7.0;
     perf.smOccupiedCycles = 1e-300; // subnormal-adjacent
@@ -90,50 +100,65 @@ fussyEnergy()
     return energy;
 }
 
-void
-expectExact(const sim::PerfResult &a, const sim::PerfResult &b)
+/**
+ * Nudges one leaf of a field-listed record: a depth-first walk over
+ * the field lists (common/fields.hh) numbers every scalar, string,
+ * sequence element and vector length, and changes leaf number
+ * @p target — a double by one ulp, so a codec that rounds shows up.
+ */
+class Nudge
 {
-    EXPECT_EQ(a.configName, b.configName);
-    EXPECT_EQ(a.workloadName, b.workloadName);
-    EXPECT_EQ(a.execCycles, b.execCycles);
-    EXPECT_EQ(a.execSeconds, b.execSeconds);
-    EXPECT_EQ(a.instrs, b.instrs);
-    EXPECT_EQ(a.mem.txns, b.mem.txns);
-    EXPECT_EQ(a.mem.l1SectorMisses, b.mem.l1SectorMisses);
-    EXPECT_EQ(a.mem.l2SectorMisses, b.mem.l2SectorMisses);
-    EXPECT_EQ(a.mem.remoteSectors, b.mem.remoteSectors);
-    EXPECT_EQ(a.mem.localSectors, b.mem.localSectors);
-    EXPECT_EQ(a.mem.writebackSectors, b.mem.writebackSectors);
-    EXPECT_EQ(a.link.byteHops, b.link.byteHops);
-    EXPECT_EQ(a.link.messageBytes, b.link.messageBytes);
-    EXPECT_EQ(a.link.switchBytes, b.link.switchBytes);
-    EXPECT_EQ(a.link.transfers, b.link.transfers);
-    EXPECT_EQ(a.smBusyCycles, b.smBusyCycles);
-    EXPECT_EQ(a.smStallCycles, b.smStallCycles);
-    EXPECT_EQ(a.smOccupiedCycles, b.smOccupiedCycles);
-    EXPECT_EQ(a.l1Accesses, b.l1Accesses);
-    EXPECT_EQ(a.l1SectorHits, b.l1SectorHits);
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.l2SectorHits, b.l2SectorHits);
-    EXPECT_EQ(a.dramQueueing, b.dramQueueing);
-    EXPECT_EQ(a.linkQueueing, b.linkQueueing);
-    EXPECT_EQ(a.linkBusy, b.linkBusy);
-    EXPECT_EQ(a.dramBusy, b.dramBusy);
-}
+  public:
+    explicit Nudge(std::size_t target) : target_(target) {}
 
-void
-expectExact(const joule::EnergyBreakdown &a,
-            const joule::EnergyBreakdown &b)
-{
-    EXPECT_EQ(a.smBusy, b.smBusy);
-    EXPECT_EQ(a.smIdle, b.smIdle);
-    EXPECT_EQ(a.constant, b.constant);
-    EXPECT_EQ(a.shmToReg, b.shmToReg);
-    EXPECT_EQ(a.l1ToReg, b.l1ToReg);
-    EXPECT_EQ(a.l2ToL1, b.l2ToL1);
-    EXPECT_EQ(a.dramToL2, b.dramToL2);
-    EXPECT_EQ(a.interModule, b.interModule);
-}
+    template <typename T>
+    void
+    visit(const std::string &path, T &value)
+    {
+        if constexpr (FieldListed<T>) {
+            T::fields(value, [&](const char *name, auto &field) {
+                visit(path + "." + name, field);
+            });
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            leaf(path, [&] { value += "'"; });
+        } else if constexpr (std::ranges::range<T>) {
+            for (std::size_t i = 0; i < value.size(); ++i)
+                visit(path + "[" + std::to_string(i) + "]", value[i]);
+            if constexpr (requires { value.emplace_back(); })
+                leaf(path + ".size", [&] { value.emplace_back(); });
+        } else if constexpr (std::is_floating_point_v<T>) {
+            leaf(path, [&] {
+                value = std::nextafter(
+                    value, std::numeric_limits<T>::infinity());
+            });
+        } else if constexpr (std::is_enum_v<T>) {
+            leaf(path, [&] {
+                value = static_cast<T>(
+                    static_cast<std::underlying_type_t<T>>(value) + 1);
+            });
+        } else {
+            leaf(path, [&] { ++value; });
+        }
+    }
+
+    /** Path of the nudged leaf; empty when the walk had fewer leaves. */
+    const std::string &nudged() const { return nudged_; }
+
+  private:
+    template <typename Change>
+    void
+    leaf(const std::string &path, Change &&change)
+    {
+        if (seen_++ == target_) {
+            change();
+            nudged_ = path;
+        }
+    }
+
+    std::size_t target_;
+    std::size_t seen_ = 0;
+    std::string nudged_;
+};
 
 TEST(RunCache, RoundTripIsBitExact)
 {
@@ -154,8 +179,8 @@ TEST(RunCache, RoundTripIsBitExact)
     joule::EnergyBreakdown energy2;
     ASSERT_TRUE(
         reloaded.lookup(0xdeadbeefcafef00dull, perf2, energy2));
-    expectExact(perf, perf2);
-    expectExact(energy, energy2);
+    EXPECT_EQ(perf, perf2);
+    EXPECT_EQ(energy, energy2);
     EXPECT_FALSE(reloaded.lookup(0x1234ull, perf2, energy2));
     EXPECT_EQ(reloaded.hits(), 1u);
     EXPECT_EQ(reloaded.misses(), 1u);
@@ -248,6 +273,96 @@ TEST(RunCache, FingerprintCoversEveryInput)
     EXPECT_NE(runFingerprint(config, stretched, 1.0, -1.0, 7), base);
 }
 
+TEST(FieldLists, EveryInputFieldMovesFingerprintAndRunKey)
+{
+    // A base point whose every sequence holds an element, so the walk
+    // reaches the fields of LinkFault, ComputeMix, SegmentAccess and
+    // DataSegment too.
+    RunKey base{sim::multiGpmConfig(4, sim::BwSetting::Bw2x),
+                trace::scalingWorkloads().front()};
+    base.config.linkFaults.faults.push_back({1, 0, 0.5});
+    base.profile.stores = base.profile.loads;
+    ASSERT_FALSE(base.profile.compute.empty());
+    ASSERT_FALSE(base.profile.loads.empty());
+    ASSERT_FALSE(base.profile.segments.empty());
+    auto fingerprint = [](const RunKey &key) {
+        return runFingerprint(key.config, key.profile,
+                              key.linkEnergyScale,
+                              key.constGrowthOverride, 7);
+    };
+
+    std::size_t leaves = 0;
+    for (;; ++leaves) {
+        RunKey key = base;
+        auto &[config, profile, scale, growth] = key;
+        Nudge nudge(leaves);
+        nudge.visit("config", config);
+        nudge.visit("profile", profile);
+        nudge.visit("linkEnergyScale", scale);
+        nudge.visit("constGrowthOverride", growth);
+        if (nudge.nudged().empty())
+            break;
+        SCOPED_TRACE(nudge.nudged());
+        EXPECT_NE(fingerprint(key), fingerprint(base));
+        EXPECT_TRUE(key != base);
+        EXPECT_TRUE(key < base || base < key);
+    }
+    EXPECT_GT(leaves, 60u);
+}
+
+TEST(FieldLists, EveryResultFieldRoundTripsAndBreaksEquality)
+{
+    std::string path = scratchPath("fields");
+    const sim::PerfResult perf = fussyPerf();
+    const joule::EnergyBreakdown energy = fussyEnergy();
+
+    std::vector<sim::PerfResult> perfs;
+    std::vector<joule::EnergyBreakdown> energies;
+    std::vector<std::string> paths;
+    for (;;) {
+        sim::PerfResult p = perf;
+        joule::EnergyBreakdown e = energy;
+        Nudge nudge(paths.size());
+        nudge.visit("perf", p);
+        nudge.visit("energy", e);
+        if (nudge.nudged().empty())
+            break;
+        EXPECT_TRUE(p != perf || e != energy) << nudge.nudged();
+        perfs.push_back(p);
+        energies.push_back(e);
+        paths.push_back(nudge.nudged());
+    }
+    EXPECT_GT(paths.size(), 60u);
+
+    {
+        RunCache cache(path);
+        for (std::size_t i = 0; i < paths.size(); ++i)
+            cache.insert(i, perfs[i], energies[i]);
+    } // no flush: every entry lives only in the journal
+
+    auto expectServed = [&](RunCache &cache) {
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+            SCOPED_TRACE(paths[i]);
+            sim::PerfResult p;
+            joule::EnergyBreakdown e;
+            ASSERT_TRUE(cache.lookup(i, p, e));
+            EXPECT_EQ(p, perfs[i]);
+            EXPECT_EQ(e, energies[i]);
+        }
+    };
+    {
+        RunCache replayed(path);
+        EXPECT_EQ(replayed.walReplayed(), paths.size());
+        expectServed(replayed);
+        EXPECT_TRUE(replayed.flush()); // snapshot; journal truncated
+    }
+    RunCache reopened(path);
+    EXPECT_EQ(reopened.walReplayed(), 0u);
+    expectServed(reopened);
+
+    fs::remove_all("run_cache_scratch/fields");
+}
+
 TEST(RunCache, CrashLosesNothingThanksToJournal)
 {
     std::string path = scratchPath("crash");
@@ -278,9 +393,9 @@ TEST(RunCache, CrashLosesNothingThanksToJournal)
     sim::PerfResult perf;
     joule::EnergyBreakdown energy;
     EXPECT_TRUE(survivor.lookup(1, perf, energy));
-    expectExact(fussyPerf(), perf);
+    EXPECT_EQ(fussyPerf(), perf);
     EXPECT_TRUE(survivor.lookup(2, perf, energy));
-    expectExact(fussyPerf(), perf);
+    EXPECT_EQ(fussyPerf(), perf);
 
     // And stays writable: post-crash work merges on top, and the
     // flush folds the replayed record into the snapshot and empties
@@ -351,7 +466,7 @@ TEST(RunCache, TornJournalRecordIsDroppedNotContagious)
     sim::PerfResult perf;
     joule::EnergyBreakdown energy;
     EXPECT_TRUE(reloaded.lookup(1, perf, energy));
-    expectExact(fussyPerf(), perf);
+    EXPECT_EQ(fussyPerf(), perf);
     EXPECT_FALSE(reloaded.lookup(2, perf, energy));
     EXPECT_TRUE(reloaded.lookup(3, perf, energy));
 

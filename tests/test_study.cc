@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "harness/run_cache.hh"
 #include "harness/study.hh"
 
 namespace
@@ -40,6 +43,16 @@ tinyWorkload(const char *name, trace::WorkloadClass cls)
     profile.loads.push_back(access);
     profile.compute.push_back({isa::Opcode::FFMA32, 6});
     return profile;
+}
+
+/** The pin-reallocation ablation's edit (DRAM pins traded for link
+ *  pins), made without renaming the configuration. */
+sim::GpuConfig
+repinned(sim::GpuConfig config)
+{
+    config.memory.dramBytesPerCycle -= 192.0;
+    config.interGpmBytesPerCycle += 192.0;
+    return config;
 }
 
 TEST(Study, InputsFromMirrorsPerfResult)
@@ -84,6 +97,56 @@ TEST(Study, RunnerMemoizes)
     const RunOutcome &a = runner.run(sim::baselineConfig(), workload);
     const RunOutcome &b = runner.run(sim::baselineConfig(), workload);
     EXPECT_EQ(&a, &b); // same cached object
+}
+
+TEST(Study, SameNameConfigEditIsANewPoint)
+{
+    ScalingRunner runner(context());
+    runner.attachPersistentCache(nullptr);
+    auto workload = tinyWorkload("edit", trace::WorkloadClass::Memory);
+    auto config = sim::multiGpmConfig(4, sim::BwSetting::Bw1x);
+    const RunOutcome &before = runner.run(config, workload);
+    const sim::GpuConfig edited = repinned(config);
+    const RunOutcome &after = runner.run(edited, workload);
+
+    ScalingRunner fresh(context());
+    fresh.attachPersistentCache(nullptr);
+    const RunOutcome &expected = fresh.run(edited, workload);
+    EXPECT_NE(before.perf.execCycles, expected.perf.execCycles);
+    EXPECT_EQ(after.perf, expected.perf);
+    EXPECT_EQ(after.energy, expected.energy);
+}
+
+TEST(Study, EditedConfigMissBuildsItsOwnMachineAndCachesItsResult)
+{
+    namespace fs = std::filesystem;
+    fs::remove_all("study_scratch");
+    RunCache disk("study_scratch/runs.json");
+    ScalingRunner runner(context());
+    runner.attachPersistentCache(&disk);
+    auto workload = tinyWorkload("repin", trace::WorkloadClass::Memory);
+    auto config = sim::multiGpmConfig(4, sim::BwSetting::Bw1x);
+    runner.run(config, workload); // pools a machine built for config
+
+    // A memo miss (new link-energy scale) on the same-name edit.
+    const sim::GpuConfig edited = repinned(config);
+    const RunOutcome &served = runner.run(edited, workload, 1.5);
+
+    ScalingRunner fresh(context());
+    fresh.attachPersistentCache(nullptr);
+    const RunOutcome &expected = fresh.run(edited, workload, 1.5);
+    EXPECT_EQ(served.perf, expected.perf);
+    EXPECT_EQ(served.energy, expected.energy);
+
+    sim::PerfResult perf;
+    joule::EnergyBreakdown energy;
+    ASSERT_TRUE(disk.lookup(
+        runFingerprint(edited, workload, 1.5, -1.0,
+                       context().calibrationFingerprint()),
+        perf, energy));
+    EXPECT_EQ(perf, expected.perf);
+    EXPECT_EQ(energy, expected.energy);
+    fs::remove_all("study_scratch");
 }
 
 TEST(Study, EnergyPositiveAndDecomposed)

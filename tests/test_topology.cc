@@ -650,12 +650,10 @@ TEST(Placement, BaselinePlacementEquivalentThroughTheMachine)
 
 TEST(TopologyIdentity, RunKeysSeparateTopologies)
 {
-    harness::RunKey ring;
-    ring.config = "8-GPM/custom";
-    ring.workload = "Stream";
-    ring.topology = static_cast<std::uint8_t>(noc::Topology::Ring);
+    harness::RunKey ring{sim::multiGpmConfig(8, sim::BwSetting::Bw2x),
+                         workload("Stream")};
     harness::RunKey mesh = ring;
-    mesh.topology = static_cast<std::uint8_t>(noc::Topology::Fullmesh);
+    mesh.config.topology = noc::Topology::Fullmesh;
     EXPECT_TRUE(ring < mesh || mesh < ring);
 }
 
