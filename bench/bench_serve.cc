@@ -173,9 +173,7 @@ main()
 
     serve::ServeOptions options;
     // One shard, so the pipelined sweep builds real backlog and the
-    // queue-depth timeseries shows it draining (with two shards the
-    // prefetch slots absorb all five studies and the queue never
-    // grows).
+    // queue-depth timeseries shows it draining.
     options.shards = 1;
     options.sampleMs = 100;     // fine-grained queue-depth series...
     options.timeseriesCap = 8192; // ...retained for the whole run
@@ -310,8 +308,6 @@ main()
                    static_cast<double>(stats.simulationsStarted));
     stats_json.set("dedup-attached",
                    static_cast<double>(stats.dedupAttached));
-    stats_json.set("affinity-hits",
-                   static_cast<double>(stats.affinityHits));
     stats_json.set("latency-p50-ms", stats.latencyP50Ms);
     stats_json.set("latency-p95-ms", stats.latencyP95Ms);
     doc.set("stats", std::move(stats_json));

@@ -208,15 +208,17 @@ wait "${serve_pid}"
 
 echo "== Serve chaos smoke (ASan daemon under injected faults) =="
 # The same daemon with the serve chaos knobs armed: every 5th job
-# crashes its shard (supervised recovery must requeue invisibly) and
-# every 7th response write hard-closes the connection (the client
-# must reconnect and re-ask). The soak exits nonzero on any
-# client-visible error, and the verify pass must still be
-# bit-identical to in-process recomputation — self-healing may never
-# change answers. detect_leaks=0: the crash path longjmps out of the
+# crashes its shard (supervised recovery must requeue invisibly), the
+# shard that takes the 3rd job stalls for 500 ms (the other shards
+# keep serving), and every 7th response write hard-closes the
+# connection (the client must reconnect and re-ask). The soak exits
+# nonzero on any client-visible error, and the verify pass must still
+# be bit-identical to in-process recomputation — self-healing may
+# never change answers. detect_leaks=0: the crash path longjmps out of the
 # interrupted frames, deliberately abandoning their allocations.
 ASAN_OPTIONS=detect_leaks=0 \
 MMGPU_FAULT_SERVE_CRASH_EVERY=5 \
+MMGPU_FAULT_SERVE_STALL_AT_JOB=3 MMGPU_FAULT_SERVE_STALL_MS=500 \
 MMGPU_FAULT_SERVE_CONN_RESET_EVERY=7 \
 build-asan/examples/mmgpu_serve --socket "${serve_dir}/chaos.sock" &
 chaos_pid=$!

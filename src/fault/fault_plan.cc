@@ -64,8 +64,8 @@ FaultPlan::fingerprint() const
         hash.add(point);
     hash.add(harness.hangSeconds);
     hash.add(serve.shardCrashEveryJobs);
-    hash.add(serve.dispatcherStallAtJob);
-    hash.add(serve.dispatcherStallMs);
+    hash.add(serve.stallAtJob);
+    hash.add(serve.stallMs);
     hash.add(serve.walTearAtAppend);
     hash.add(serve.connResetEveryWrites);
     hash.add(static_cast<std::uint64_t>(serve.crashPoints.size()));
@@ -149,11 +149,10 @@ FaultPlan::fromEnv()
     plan.serve.shardCrashEveryJobs = envCount(
         "MMGPU_FAULT_SERVE_CRASH_EVERY",
         plan.serve.shardCrashEveryJobs);
-    plan.serve.dispatcherStallAtJob = envCount(
-        "MMGPU_FAULT_SERVE_STALL_AT_JOB",
-        plan.serve.dispatcherStallAtJob);
-    plan.serve.dispatcherStallMs = envCount(
-        "MMGPU_FAULT_SERVE_STALL_MS", plan.serve.dispatcherStallMs);
+    plan.serve.stallAtJob = envCount("MMGPU_FAULT_SERVE_STALL_AT_JOB",
+                                     plan.serve.stallAtJob);
+    plan.serve.stallMs = envCount("MMGPU_FAULT_SERVE_STALL_MS",
+                                  plan.serve.stallMs);
     plan.serve.walTearAtAppend = envCount(
         "MMGPU_FAULT_SERVE_WAL_TEAR_AT", plan.serve.walTearAtAppend);
     plan.serve.connResetEveryWrites = envCount(

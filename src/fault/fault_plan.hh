@@ -159,10 +159,10 @@ struct HarnessFaultSpec
  * Serve-layer sabotage: deterministic chaos for the mmgpu_serve
  * daemon so every self-healing mechanism (shard supervision, client
  * retry, WAL replay, reconnect) is exercised by tests, not by hand.
- * Counters are global per process (job N means the Nth job executed
- * by any shard), so a campaign replays identically at any shard
- * count under a serial load and deterministically under the same
- * interleaving otherwise.
+ * Counters are global per process (job N means the Nth job taken
+ * from the admission queue by any shard), so a campaign replays
+ * identically at any shard count under a serial load and
+ * deterministically under the same interleaving otherwise.
  */
 struct ServeFaultSpec
 {
@@ -171,12 +171,12 @@ struct ServeFaultSpec
      *  re-queue or poison the work. */
     std::uint64_t shardCrashEveryJobs = 0;
 
-    /** Stall the service dispatcher once, before delivering job N
-     *  (0 disables), for dispatcherStallMs. */
-    std::uint64_t dispatcherStallAtJob = 0;
+    /** Stall the shard that takes job N once, for stallMs before
+     *  the job starts (0 disables). */
+    std::uint64_t stallAtJob = 0;
 
-    /** How long the injected dispatcher stall lasts. */
-    std::uint64_t dispatcherStallMs = 500;
+    /** How long the injected shard stall lasts. */
+    std::uint64_t stallMs = 500;
 
     /** Tear the Nth run-cache WAL append (0 disables): the record is
      *  written truncated mid-payload, as a crash between write() and
@@ -198,9 +198,9 @@ struct ServeFaultSpec
     bool
     enabled() const
     {
-        return shardCrashEveryJobs != 0 ||
-               dispatcherStallAtJob != 0 || walTearAtAppend != 0 ||
-               connResetEveryWrites != 0 || !crashPoints.empty();
+        return shardCrashEveryJobs != 0 || stallAtJob != 0 ||
+               walTearAtAppend != 0 || connResetEveryWrites != 0 ||
+               !crashPoints.empty();
     }
 };
 

@@ -163,6 +163,7 @@ AdmissionQueue::pop()
     auto first = queue_.begin();
     Job job = std::move(first->second);
     queue_.erase(first);
+    job.take = ++takes_;
     return job;
 }
 

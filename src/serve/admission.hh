@@ -56,6 +56,7 @@ struct Job
     Request request;
     std::uint64_t ticket = 0;    //!< admission order (FIFO tiebreak)
     std::int64_t admittedMs = 0; //!< wallclock::nowMs() at admission
+    std::uint64_t take = 0;      //!< 1-based pop order, set by pop()
 };
 
 /** Outcome of an admission attempt. */
@@ -116,8 +117,8 @@ class AdmissionQueue
 
     /**
      * Block until a job is available or the queue is stopped.
-     * @return the highest-priority / oldest job, or nullopt once
-     *         stopped *and* drained.
+     * @return the highest-priority / oldest job, stamped with its
+     *         take (pop) index, or nullopt once stopped *and* drained.
      */
     std::optional<Job> pop();
 
@@ -181,6 +182,7 @@ class AdmissionQueue
     std::unordered_map<std::string, Bucket> buckets_
         MMGPU_GUARDED_BY(mutex_);
     std::uint64_t nextTicket_ MMGPU_GUARDED_BY(mutex_) = 0;
+    std::uint64_t takes_ MMGPU_GUARDED_BY(mutex_) = 0;
     /** 0 until the first sample. */
     double serviceEwmaMs_ MMGPU_GUARDED_BY(mutex_) = 0.0;
     std::atomic<bool> stopped_{false};

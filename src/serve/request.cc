@@ -1,6 +1,5 @@
 #include "serve/request.hh"
 
-#include "common/fields.hh"
 #include "common/hash.hh"
 #include "noc/topology_registry.hh"
 
@@ -10,7 +9,7 @@ namespace mmgpu::serve
 namespace
 {
 
-/** Schema salt for the work/machine identity hashes. */
+/** Schema salt for the work identity hash. */
 constexpr std::uint64_t identitySalt = 0x5e27e001;
 
 /** Protocol spelling of a bandwidth setting ("2x", not "2x-BW"). */
@@ -109,16 +108,6 @@ RunSpec::config() const
     config.placement = placement;
     config.ctaScheduling = ctaSched;
     return config;
-}
-
-std::uint64_t
-RunSpec::machineIdentity() const
-{
-    // The harness MachinePool keys on the whole GpuConfig; hashing
-    // its field list keeps routing affinity in step with the pool.
-    Fnv1a hash(identitySalt);
-    hashFields(hash, config());
-    return hash.digest();
 }
 
 std::uint64_t

@@ -94,15 +94,6 @@ struct RunSpec
     /** The machine configuration this spec names (baseline when
      *  gpms <= 1). Does not validate; GpuConfig::check() does. */
     sim::GpuConfig config() const;
-
-    /**
-     * Identity of the *machine* the spec needs — a hash of config()'s
-     * field list, ignoring workload and energy knobs. The router uses
-     * this for shard affinity: requests that can reuse a pooled
-     * machine (the pool keys on the same GpuConfig) should land on
-     * the shard already holding one.
-     */
-    std::uint64_t machineIdentity() const;
 };
 
 /** One parsed request. */

@@ -52,14 +52,6 @@ constexpr std::size_t latencyRingCap = 1024;
 /** Watchdog / housekeeping poll granularity. */
 constexpr std::int64_t pollMs = 50;
 
-/**
- * Jobs a shard may hold beyond the one it is running. Kept at 1 so
- * the *admission* queue is where work waits: its depth bound stays
- * the real backpressure limit, and a job's priority keeps mattering
- * until the moment a shard can actually take it.
- */
-constexpr std::size_t shardPendingCap = 1;
-
 /** @p q-th percentile (0..1) of @p values; 0 when empty. */
 double
 percentile(std::vector<double> values, double q)
@@ -96,17 +88,14 @@ SimService::SimService(const ServeOptions &options,
                        const harness::StudyContext &context)
     : options_(options), context_(context), runner_(context),
       queue_(admissionOptionsFor(options)),
-      router_(options.shards, options.routerSlack),
       supervisor_(options.supervisor),
       breaker_(breakerClasses, options.breaker),
       tel_(telemetry::TelemetryConfig{})
 {
     mmgpu_assert(options.shards > 0, "service needs >= 1 shard");
-    shardPending_.assign(options.shards, 0);
     for (std::size_t i = 0; i < options.shards; ++i) {
         shardSites_.push_back(
             prof::dynamicSite("serve/shard" + std::to_string(i)));
-        shardQueues_.push_back(std::make_unique<ShardQueue>());
         busySinceMs_.push_back(
             std::make_unique<std::atomic<std::int64_t>>(0));
         cancel_.push_back(
@@ -150,7 +139,6 @@ SimService::start()
             cache->startAutoFlush(seconds);
     }
 
-    dispatcher_ = std::thread([this] { dispatchLoop(); });
     for (std::size_t i = 0; i < options_.shards; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
     housekeeper_ = std::thread([this] { housekeepLoop(); });
@@ -331,8 +319,6 @@ SimService::join()
     if (!started_ || joined_)
         return;
     joined_ = true;
-    if (dispatcher_.joinable())
-        dispatcher_.join();
     for (std::thread &worker : workers_)
         if (worker.joinable())
             worker.join();
@@ -370,98 +356,18 @@ SimService::join()
 }
 
 void
-SimService::dispatchLoop()
-{
-    while (std::optional<Job> job = queue_.pop()) {
-        // Injected chaos: stall the dispatcher once, right before
-        // delivering job N. Clients see latency, never errors — the
-        // admission queue absorbs the backlog.
-        std::uint64_t dispatched = jobsDispatched_.fetch_add(1) + 1;
-        if (options_.faultPlan != nullptr) {
-            const fault::ServeFaultSpec &serve =
-                options_.faultPlan->serve;
-            if (serve.dispatcherStallAtJob != 0 &&
-                dispatched == serve.dispatcherStallAtJob &&
-                !dispatcherStalled_.exchange(true)) {
-                warn("serve: injected dispatcher stall (",
-                     serve.dispatcherStallMs, " ms)");
-                wallclock::sleepMs(static_cast<std::int64_t>(
-                    serve.dispatcherStallMs));
-            }
-        }
-        // Route only over shards with a free prefetch slot, so one
-        // full shard never head-of-line-blocks delivery to idle
-        // ones (affinity then degrades to balance, which is the
-        // right trade: a warm machine is worth queueing slack, not
-        // starving the rest of the fleet). Block only when *every*
-        // slot is taken — then the admission queue really is the
-        // place work waits.
-        std::size_t shard = 0;
-        {
-            std::unique_lock<sync::Mutex> lock(slotMutex_);
-            std::vector<std::uint8_t> open(options_.shards, 0);
-            slotCv_.wait(lock, [&] {
-                bool any = false;
-                for (std::size_t i = 0; i < options_.shards; ++i) {
-                    open[i] =
-                        shardPending_[i] < shardPendingCap ? 1 : 0;
-                    any = any || open[i] != 0;
-                }
-                return any;
-            });
-            shard = router_.route(
-                job->request.spec.machineIdentity(), &open);
-            ++shardPending_[shard];
-        }
-        RoutedJob routed;
-        routed.job = std::move(*job);
-        routed.shard = shard;
-        ShardQueue &sq = *shardQueues_[shard];
-        {
-            std::lock_guard<sync::Mutex> lock(sq.mutex);
-            sq.jobs.push_back(std::move(routed));
-            sq.cv.notify_all();
-        }
-    }
-    // Admission stopped and drained: close every shard feed.
-    for (auto &sq : shardQueues_) {
-        {
-            std::lock_guard<sync::Mutex> lock(sq->mutex);
-            sq->closed = true;
-            sq->cv.notify_all();
-        }
-    }
-}
-
-void
 SimService::workerLoop(std::size_t shard)
 {
-    ShardQueue &sq = *shardQueues_[shard];
-    while (true) {
-        RoutedJob routed;
-        {
-            std::unique_lock<sync::Mutex> lock(sq.mutex);
-            sq.cv.wait(lock, [&sq] {
-                return !sq.jobs.empty() || sq.closed;
-            });
-            if (sq.jobs.empty())
-                return; // closed and drained
-            routed = std::move(sq.jobs.front());
-            sq.jobs.pop_front();
-        }
-        {
-            // A prefetch slot freed: tell the dispatcher.
-            std::lock_guard<sync::Mutex> lock(slotMutex_);
-            --shardPending_[shard];
-            slotCv_.notify_all();
-        }
-        execute(shard, routed.job);
-    }
+    // Returns once the queue is stopped and drained.
+    while (std::optional<Job> job = queue_.pop())
+        execute(shard, *job);
 }
 
 void
 SimService::execute(std::size_t shard, const Job &job)
 {
+    maybeInjectStall(job);
+
     // New job epoch: the watchdog cancels only against the
     // generation it observed, so a cancel aimed at the previous job
     // cannot land on this one.
@@ -484,7 +390,6 @@ SimService::execute(std::size_t shard, const Job &job)
 
     busySinceMs_[shard]->store(0);
     generation_[shard]->fetch_add(1); // idle epoch
-    router_.release(shard);
 
     // A server-side failure (timeout, injected fault, internal
     // error) may have left the job's pooled machines mid-simulation;
@@ -539,8 +444,7 @@ SimService::runGuarded(std::size_t shard, const Job &job,
     // one resource that matters, are retired by crashRecover().
     CrashTrap trap;
     if (sigsetjmp(trap.jumpBuffer(), 0) == 0) {
-        std::uint64_t job_index = jobsExecuted_.fetch_add(1) + 1;
-        maybeInjectCrash(job_index, job.request);
+        maybeInjectCrash(job);
         response = job.request.type == RequestType::Run
                        ? executeRun(job.request, cancel_[shard].get())
                        : executeStudy(job.request,
@@ -552,16 +456,30 @@ SimService::runGuarded(std::size_t shard, const Job &job,
 }
 
 void
-SimService::maybeInjectCrash(std::uint64_t job_index,
-                             const Request &request)
+SimService::maybeInjectStall(const Job &job)
+{
+    // Stall the taking shard once, before its job starts: the other
+    // shards keep taking work, so clients see latency, never errors.
+    // The take index only goes up, so an equality match fires once.
+    if (options_.faultPlan == nullptr ||
+        job.take != options_.faultPlan->serve.stallAtJob)
+        return;
+    const std::uint64_t ms = options_.faultPlan->serve.stallMs;
+    warn("serve: injected shard stall (", ms, " ms)");
+    wallclock::sleepMs(static_cast<std::int64_t>(ms));
+}
+
+void
+SimService::maybeInjectCrash(const Job &job)
 {
     if (options_.faultPlan == nullptr)
         return;
     const fault::ServeFaultSpec &serve = options_.faultPlan->serve;
+    const Request &request = job.request;
     if (serve.shardCrashEveryJobs != 0 &&
-        job_index % serve.shardCrashEveryJobs == 0) {
+        job.take % serve.shardCrashEveryJobs == 0) {
         mmgpu_panic("injected serve chaos: shard crash at job ",
-                    job_index);
+                    job.take);
     }
     if (!serve.crashPoints.empty() &&
         fault::HarnessFaultSpec::matches(serve.crashPoints,
@@ -578,7 +496,6 @@ SimService::crashRecover(std::size_t shard, const Job &job,
 {
     busySinceMs_[shard]->store(0);
     generation_[shard]->fetch_add(1); // idle epoch
-    router_.release(shard);
 
     // Crash isolation: whatever machine the job was driving is in an
     // unknown state. Retire every pooled machine of its config so no
@@ -759,7 +676,6 @@ SimService::statsResponse(const std::string &id)
     doc.set("failed", s.failed);
     doc.set("dedup-attached", s.dedupAttached);
     doc.set("sims-started", s.simulationsStarted);
-    doc.set("affinity-hits", s.affinityHits);
     doc.set("queue-depth", s.queueDepth);
     doc.set("inflight", s.inflight);
     doc.set("busy-shards", s.busyShards);
@@ -890,7 +806,6 @@ SimService::stats() const
         s.simulationsStarted =
             static_cast<std::uint64_t>(cSims_->value);
     }
-    s.affinityHits = router_.affinityHits();
     s.queueDepth = queue_.depth();
     {
         std::lock_guard<sync::Mutex> lock(inflightMutex_);

@@ -9,8 +9,12 @@
  * lifecycle (DESIGN.md §10):
  *
  *   RECEIVED -> ADMITTED | REJECTED            (bounded queue)
- *   ADMITTED -> ATTACHED | ROUTED              (in-flight dedup)
- *   ROUTED   -> RUNNING -> COMPLETED | FAILED  (shard worker)
+ *   ADMITTED -> ATTACHED | RUNNING             (in-flight dedup)
+ *   RUNNING  -> COMPLETED | FAILED             (shard worker)
+ *
+ * Each shard worker takes the next job straight from the admission
+ * queue (highest priority, then oldest), so no job waits behind a
+ * busy shard while another shard is idle.
  *
  * Duplicate work never simulates twice: a request whose work
  * identity matches an in-flight job *attaches* to it as an extra
@@ -47,7 +51,6 @@
 #include "harness/study.hh"
 #include "serve/admission.hh"
 #include "serve/request.hh"
-#include "serve/router.hh"
 #include "serve/supervisor.hh"
 #include "telemetry/telemetry.hh"
 
@@ -64,7 +67,6 @@ struct ServeOptions
                                    //!< defers to MMGPU_CACHE_FLUSH_SEC
     std::int64_t sampleMs = 200;   //!< health-sample period
     std::size_t timeseriesCap = 512; //!< health samples retained
-    std::size_t routerSlack = 2;   //!< affinity load headroom (jobs)
 
     // Self-healing knobs (DESIGN.md "Failure model & self-healing").
     SupervisorOptions supervisor; //!< strikes / quarantine / backoff
@@ -100,7 +102,6 @@ struct ServiceStats
     std::uint64_t failed = 0;
     std::uint64_t dedupAttached = 0; //!< subscribers on in-flight work
     std::uint64_t simulationsStarted = 0; //!< genuinely uncached points
-    std::uint64_t affinityHits = 0;
     std::size_t queueDepth = 0;
     std::size_t inflight = 0;
     std::size_t busyShards = 0;
@@ -140,7 +141,7 @@ class SimService
     SimService(const SimService &) = delete;
     SimService &operator=(const SimService &) = delete;
 
-    /** Spawn dispatcher, shard workers, and housekeeper. */
+    /** Spawn the shard workers and the housekeeper. */
     void start();
 
     /**
@@ -213,14 +214,6 @@ class SimService
         std::vector<std::pair<std::string, ResponseCallback>> sinks;
     };
 
-    /** A job plus its routing/accounting context. */
-    struct RoutedJob
-    {
-        Job job;
-        std::size_t shard = 0;
-    };
-
-    void dispatchLoop();
     void workerLoop(std::size_t shard);
     void housekeepLoop();
 
@@ -236,9 +229,11 @@ class SimService
     bool runGuarded(std::size_t shard, const Job &job,
                     Response &response, std::string &crash_msg);
 
+    /** Injected chaos: sleep when the fault plan stalls this job. */
+    void maybeInjectStall(const Job &job);
+
     /** Injected chaos: panic when the fault plan targets this job. */
-    void maybeInjectCrash(std::uint64_t job_index,
-                          const Request &request);
+    void maybeInjectCrash(const Job &job);
 
     /**
      * Supervised crash recovery: retire the job's machines, consult
@@ -272,16 +267,9 @@ class SimService
     const harness::StudyContext &context_;
     harness::ScalingRunner runner_;
     AdmissionQueue queue_;
-    Router router_;
     ShardSupervisor supervisor_;
     CircuitBreaker breaker_;
     telemetry::Telemetry tel_;
-
-    // Chaos accounting: global job/dispatch indices for the
-    // counter-driven serve fault knobs (1-based; see ServeFaultSpec).
-    std::atomic<std::uint64_t> jobsExecuted_{0};
-    std::atomic<std::uint64_t> jobsDispatched_{0};
-    std::atomic<bool> dispatcherStalled_{false};
 
     // In-flight dedup table, keyed on Request::workIdentity().
     // Lock order: the dedup lock is outermost — telemetry updates
@@ -290,25 +278,6 @@ class SimService
         MMGPU_ACQUIRED_BEFORE(telMutex_);
     std::map<std::uint64_t, InFlight> inflight_
         MMGPU_GUARDED_BY(inflightMutex_);
-
-    // Per-shard feed queues (dispatcher -> worker).
-    struct ShardQueue
-    {
-        sync::Mutex mutex;
-        sync::ConditionVariable cv MMGPU_GUARDED_BY(mutex);
-        std::deque<RoutedJob> jobs MMGPU_GUARDED_BY(mutex);
-        bool closed MMGPU_GUARDED_BY(mutex) = false;
-    };
-    std::vector<std::unique_ptr<ShardQueue>> shardQueues_;
-
-    // Shard prefetch-slot occupancy (slotMutex_). The dispatcher
-    // delivers only to shards with a free slot — one full shard must
-    // not block delivery to idle ones — and waits on slotCv_ only
-    // when every slot is taken; workers signal as they drain.
-    sync::Mutex slotMutex_;
-    sync::ConditionVariable slotCv_ MMGPU_GUARDED_BY(slotMutex_);
-    std::vector<std::size_t> shardPending_
-        MMGPU_GUARDED_BY(slotMutex_);
 
     // Per-shard job timers ("serve/shard<N>" profiler sites).
     // Sampled unconditionally — shard job-time aggregates are cheap
@@ -354,7 +323,6 @@ class SimService
     mutable sync::Mutex frontendMutex_;
     JsonValue frontendInfo_ MMGPU_GUARDED_BY(frontendMutex_);
 
-    std::thread dispatcher_;
     std::vector<std::thread> workers_;
     std::thread housekeeper_;
     std::atomic<bool> shutdown_{false};

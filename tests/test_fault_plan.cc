@@ -230,8 +230,8 @@ TEST(ServeFaultSpec, FromEnvReadsServeKnobs)
     ::setenv("MMGPU_FAULT_SERVE_CRASH_POINT", "Stream,8-GPM|BFS", 1);
     FaultPlan plan = FaultPlan::fromEnv();
     EXPECT_EQ(plan.serve.shardCrashEveryJobs, 5u);
-    EXPECT_EQ(plan.serve.dispatcherStallAtJob, 3u);
-    EXPECT_EQ(plan.serve.dispatcherStallMs, 250u);
+    EXPECT_EQ(plan.serve.stallAtJob, 3u);
+    EXPECT_EQ(plan.serve.stallMs, 250u);
     EXPECT_EQ(plan.serve.walTearAtAppend, 2u);
     EXPECT_EQ(plan.serve.connResetEveryWrites, 7u);
     ASSERT_EQ(plan.serve.crashPoints.size(), 2u);

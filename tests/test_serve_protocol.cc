@@ -58,8 +58,6 @@ TEST(ServeProtocol, RequestRoundTripPreservesEveryField)
     EXPECT_EQ(back.spec.linkEnergyScale, 1.5);
     EXPECT_EQ(back.spec.constGrowthOverride, 0.25);
     EXPECT_EQ(back.workIdentity(), request.workIdentity());
-    EXPECT_EQ(back.spec.machineIdentity(),
-              request.spec.machineIdentity());
 }
 
 TEST(ServeProtocol, MinimalRequestGetsDefaults)
@@ -103,20 +101,6 @@ TEST(ServeProtocol, WorkIdentityIgnoresIdAndPriority)
     Request d = fancyRequest();
     d.type = RequestType::Run;
     EXPECT_NE(a.workIdentity(), d.workIdentity());
-}
-
-TEST(ServeProtocol, MachineIdentityIgnoresWorkloadAndEnergyKnobs)
-{
-    Request a = fancyRequest();
-    Request b = fancyRequest();
-    b.spec.workload = "Stream";
-    b.spec.linkEnergyScale = 9.0;
-    b.spec.constGrowthOverride = 0.5;
-    EXPECT_EQ(a.spec.machineIdentity(), b.spec.machineIdentity());
-
-    Request c = fancyRequest();
-    c.spec.gpms = 16;
-    EXPECT_NE(a.spec.machineIdentity(), c.spec.machineIdentity());
 }
 
 TEST(ServeProtocol, RejectsBadFieldValues)

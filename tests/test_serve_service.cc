@@ -4,7 +4,7 @@
  * bit-identity of served results against direct in-process
  * execution, in-flight dedup (one simulation per work identity),
  * bounded-queue backpressure, watchdog containment of hung points,
- * admission/router unit behavior, and live-socket fuzz — a daemon
+ * admission unit behavior, and live-socket fuzz — a daemon
  * fed garbage must answer with error lines, not die.
  */
 
@@ -28,7 +28,6 @@
 #include "fault/fault_plan.hh"
 #include "serve/admission.hh"
 #include "serve/client.hh"
-#include "serve/router.hh"
 #include "serve/service.hh"
 #include "serve/socket_server.hh"
 #include "trace/workloads.hh"
@@ -229,14 +228,15 @@ TEST(ServeService, FullQueueRejectsInsteadOfBlocking)
     ASSERT_GT(fixture.service.stats().busyShards, 0u);
 
     // Distinct work identities (the energy knob is part of the
-    // fingerprint) so none of them dedup-attach. The pipeline can
-    // absorb queueDepth + the shard prefetch slot + one in the
-    // dispatcher's hand; eight must overflow it.
-    const int flood = 8;
-    for (int i = 0; i < flood; ++i) {
-        Request request =
-            runRequest("Stream", 2, "f" + std::to_string(i), 2);
-        request.spec.linkEnergyScale = 1.0 + 0.125 * (i + 1);
+    // fingerprint) so none of them dedup-attach, at normal priority
+    // so the batch-tier shed gate stays out of it. The busy shard
+    // holds the hog and the queue holds queueDepth more; the depth
+    // gate must reject every other request.
+    const std::size_t flood = 8;
+    for (std::size_t i = 0; i < flood; ++i) {
+        Request request = runRequest("Stream", 2, "f" + std::to_string(i));
+        request.spec.linkEnergyScale =
+            1.0 + 0.125 * static_cast<double>(i + 1);
         fixture.service.submit(std::move(request), sink);
     }
 
@@ -244,16 +244,23 @@ TEST(ServeService, FullQueueRejectsInsteadOfBlocking)
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60), [&] {
         return done == flood + 1;
     }));
-    EXPECT_GE(rejected, 1u);
-    EXPECT_EQ(fixture.service.stats().rejected, rejected);
+    EXPECT_EQ(rejected, flood - options.queueDepth);
+    ServiceStats stats = fixture.service.stats();
+    EXPECT_EQ(stats.rejected, rejected);
+    EXPECT_EQ(stats.shed, 0u);
 }
 
-TEST(ServeService, FullShardPrefetchDoesNotStarveIdleShards)
+TEST(ServeService, HungJobLeavesTheOtherShardServing)
 {
     ServeOptions options;
     options.shards = 2;
     options.watchdogSeconds = 3.0;
     ServiceFixture fixture(options);
+
+    // Warm the memo first, so the probe below costs microseconds and
+    // only where it waits can make it slow.
+    Response warm = fixture.service.call(runRequest("Stream", 2, "warm"));
+    ASSERT_EQ(warm.status, ResponseStatus::Ok) << warm.message;
 
     fault::FaultPlan plan;
     plan.harness.hangPoints.push_back("BFS");
@@ -265,28 +272,22 @@ TEST(ServeService, FullShardPrefetchDoesNotStarveIdleShards)
     int bfs_done = 0;
     bool probe_done = false;
     int bfs_done_at_probe = -1;
-    auto bfs_sink = [&](const Response &) {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++bfs_done;
-        cv.notify_all();
-    };
 
-    // Two hangs with the same machine identity: the first occupies
-    // a shard, the second lands in that shard's prefetch slot via
-    // affinity.
-    fixture.service.submit(runRequest("BFS", 2, "hog1"), bfs_sink);
+    // One hang occupies a shard until the watchdog takes it back.
+    fixture.service.submit(runRequest("BFS", 2, "hog"),
+                           [&](const Response &) {
+                               std::lock_guard<std::mutex> lock(mutex);
+                               ++bfs_done;
+                               cv.notify_all();
+                           });
     std::int64_t deadline = wallclock::nowMs() + 5000;
     while (fixture.service.stats().busyShards == 0 &&
            wallclock::nowMs() < deadline)
         wallclock::sleepMs(10);
     ASSERT_GT(fixture.service.stats().busyShards, 0u);
-    Request hog2 = runRequest("BFS", 2, "hog2");
-    hog2.spec.linkEnergyScale = 1.5; // distinct work identity
-    fixture.service.submit(std::move(hog2), bfs_sink);
 
-    // Same machine identity, no hang: affinity points at the full
-    // shard, but the dispatcher must reroute to the idle one
-    // instead of queueing behind the hang.
+    // A probe for the same machine config: the idle shard must take
+    // it rather than leave it waiting behind the hang.
     fixture.service.submit(
         runRequest("Stream", 2, "probe"),
         [&](const Response &response) {
@@ -298,22 +299,15 @@ TEST(ServeService, FullShardPrefetchDoesNotStarveIdleShards)
             cv.notify_all();
         });
 
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                                [&] { return probe_done; }));
-        // The probe finished by rerouting, not by waiting for the
-        // watchdog to clear the warm shard first.
-        EXPECT_EQ(bfs_done_at_probe, 0);
-    }
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return probe_done; }));
+    EXPECT_EQ(bfs_done_at_probe, 0);
 
-    // Let the watchdog reclaim both hangs before the fault plan
+    // Let the watchdog reclaim the hang before the fault plan
     // (stack-owned) goes out of scope under the service.
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                                [&] { return bfs_done == 2; }));
-    }
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return bfs_done == 1; }));
     fixture.service.runner().setFaultPlan(nullptr);
 }
 
@@ -351,10 +345,12 @@ TEST(ServeAdmission, PriorityThenFifoOrder)
 
     const char *expected[] = {"high-1", "high-2", "normal-1",
                               "normal-2", "batch-1"};
+    std::uint64_t take = 0;
     for (const char *id : expected) {
         auto job = queue.pop();
         ASSERT_TRUE(job.has_value());
         EXPECT_EQ(job->request.id, id);
+        EXPECT_EQ(job->take, ++take); // pop order, 1-based
     }
     EXPECT_EQ(queue.depth(), 0u);
     EXPECT_EQ(queue.accepted(), 5u);
@@ -376,71 +372,6 @@ TEST(ServeAdmission, BoundedDepthAndStopSemantics)
     EXPECT_TRUE(queue.pop().has_value());
     EXPECT_TRUE(queue.pop().has_value());
     EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(ServeRouter, AffinityReusesTheWarmShard)
-{
-    Router router(4);
-    std::size_t first = router.route(0xabc);
-    router.release(first);
-    for (int i = 0; i < 5; ++i) {
-        std::size_t again = router.route(0xabc);
-        EXPECT_EQ(again, first);
-        router.release(again);
-    }
-    EXPECT_GE(router.affinityHits(), 5u);
-}
-
-TEST(ServeRouter, OverloadedAffinityShardFallsBack)
-{
-    Router router(2, /*slack=*/0);
-    std::size_t warm = router.route(0xdef); // loads warm shard, held
-    for (int i = 0; i < 4; ++i) {
-        // warm shard busier than the other by > slack: balance wins.
-        std::size_t shard = router.route(0xdef);
-        EXPECT_NE(shard, warm);
-        router.release(shard);
-    }
-    router.release(warm);
-}
-
-TEST(ServeRouter, LoadAccountingBalances)
-{
-    Router router(4);
-    std::vector<std::size_t> picked;
-    for (int i = 0; i < 16; ++i)
-        picked.push_back(router.route(static_cast<std::uint64_t>(i)));
-    std::vector<std::size_t> loads = router.loads();
-    std::size_t total = 0;
-    for (std::size_t load : loads) {
-        EXPECT_LE(load, 9u); // p2c: far from all-on-one-shard
-        total += load;
-    }
-    EXPECT_EQ(total, 16u);
-    for (std::size_t shard : picked)
-        router.release(shard);
-    for (std::size_t load : router.loads())
-        EXPECT_EQ(load, 0u);
-}
-
-TEST(ServeRouter, DeliverableMaskOverridesAffinity)
-{
-    Router router(3);
-    std::size_t warm = router.route(0x123);
-    router.release(warm);
-
-    // Warm shard masked out: routing must fall back to another.
-    std::vector<std::uint8_t> open(3, 1);
-    open[warm] = 0;
-    std::size_t fallback = router.route(0x123, &open);
-    EXPECT_NE(fallback, warm);
-    router.release(fallback);
-
-    // The fallback updated the affinity table: with the mask
-    // lifted, the identity now sticks to its new home.
-    std::size_t again = router.route(0x123);
-    EXPECT_EQ(again, fallback);
-    router.release(again);
 }
 
 TEST(ServeSocket, GarbageOverSocketGetsErrorsNotACrash)

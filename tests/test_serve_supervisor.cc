@@ -7,16 +7,21 @@
  * crash-pointed workload is quarantined after maxStrikes while a
  * healthy sibling keeps answering bit-identically to direct
  * execution, counter-driven shard crashes are requeued invisibly
- * (clients only ever see Ok), and a client call() rides injected
- * connection resets by reconnecting.
+ * (clients only ever see Ok), an injected shard stall delays only the
+ * stalled job, and a client call() rides injected connection resets
+ * by reconnecting.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/wallclock.hh"
 #include "fault/fault_plan.hh"
 #include "serve/admission.hh"
 #include "serve/client.hh"
@@ -386,6 +391,48 @@ TEST(ServeSelfHealing, CounterCrashesAreRequeuedInvisibly)
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(stream.result.dumpCompact(),
               encodeOutcome(*outcome.value()).dumpCompact());
+}
+
+TEST(ServeSelfHealing, InjectedStallDelaysOnlyTheStalledJob)
+{
+    fault::FaultPlan plan;
+    plan.serve.stallAtJob = 2;
+    plan.serve.stallMs = 300;
+
+    ServeOptions options;
+    options.shards = 2;
+    options.faultPlan = &plan;
+    ServiceFixture fixture(options);
+
+    // Job 1 warms the memo for the read below.
+    Response warm = fixture.service.call(runRequest("Stream", 2, "warm"));
+    ASSERT_EQ(warm.status, ResponseStatus::Ok) << warm.message;
+
+    // Job 2 stalls the shard that takes it. The memo-hit read queued
+    // behind it is job 3: the other shard takes it during the stall
+    // and answers first, and the stalled job still answers Ok.
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::vector<std::string> answered;
+    std::int64_t stalled_ms = -1;
+    const std::int64_t start = wallclock::nowMs();
+    auto sink = [&](const Response &response) {
+        std::lock_guard<std::mutex> lock(mutex);
+        EXPECT_EQ(response.status, ResponseStatus::Ok)
+            << response.id << ": " << response.message;
+        if (response.id == "stalled")
+            stalled_ms = wallclock::nowMs() - start;
+        answered.push_back(response.id);
+        cv.notify_all();
+    };
+    fixture.service.submit(runRequest("Kmeans", 2, "stalled"), sink);
+    fixture.service.submit(runRequest("Stream", 2, "read"), sink);
+
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return answered.size() == 2; }));
+    EXPECT_EQ(answered, (std::vector<std::string>{"read", "stalled"}));
+    EXPECT_GE(stalled_ms, static_cast<std::int64_t>(plan.serve.stallMs));
 }
 
 TEST(ServeSelfHealing, ClientCallRidesInjectedConnectionResets)

@@ -663,28 +663,23 @@ TEST(TopologyIdentity, ServeIdentitiesSeparateTopologies)
     request.type = serve::RequestType::Run;
     request.spec.gpms = 8;
 
-    std::vector<std::uint64_t> machine_ids;
     std::vector<std::uint64_t> work_ids;
     for (noc::Topology topo :
          {noc::Topology::Ring, noc::Topology::Switch,
           noc::Topology::Fullmesh, noc::Topology::Circuit}) {
         request.spec.topology = topo;
-        machine_ids.push_back(request.spec.machineIdentity());
         work_ids.push_back(request.workIdentity());
     }
-    for (std::size_t i = 0; i < machine_ids.size(); ++i) {
-        for (std::size_t j = i + 1; j < machine_ids.size(); ++j) {
-            EXPECT_NE(machine_ids[i], machine_ids[j]);
+    for (std::size_t i = 0; i < work_ids.size(); ++i)
+        for (std::size_t j = i + 1; j < work_ids.size(); ++j)
             EXPECT_NE(work_ids[i], work_ids[j]);
-        }
-    }
 
-    // Placement is machine identity too: a locality-placed machine
-    // must never be pooled with a first-touch one.
+    // Placement is work identity too: a locality-placed point must
+    // never dedup onto a first-touch one.
     request.spec.topology = noc::Topology::Ring;
-    std::uint64_t baseline = request.spec.machineIdentity();
+    std::uint64_t baseline = request.workIdentity();
     request.spec.placement = sim::PlacementPolicy::Locality;
-    EXPECT_NE(request.spec.machineIdentity(), baseline);
+    EXPECT_NE(request.workIdentity(), baseline);
 }
 
 TEST(TopologyIdentity, WireProtocolRoundTripsNewNames)
