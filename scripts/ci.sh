@@ -29,7 +29,8 @@
 #                   MMGPU_CONTRACTS=2  smoke (every fabric x placement
 #                                      with conservation audits armed)
 #   build-tsan      TSan               tier1 + tier2 (the concurrency
-#                                      tests, race-instrumented)
+#                                      tests under TSan's race and
+#                                      lock-order detectors)
 #
 # Usage: scripts/ci.sh [--quick]
 #   --quick  lint + Release tier1 only (the pre-push smoke run).
@@ -214,9 +215,8 @@ echo "== Serve chaos smoke (ASan daemon under injected faults) =="
 # connection (the client must reconnect and re-ask). The soak exits
 # nonzero on any client-visible error, and the verify pass must still
 # be bit-identical to in-process recomputation — self-healing may
-# never change answers. detect_leaks=0: the crash path longjmps out of the
-# interrupted frames, deliberately abandoning their allocations.
-ASAN_OPTIONS=detect_leaks=0 \
+# never change answers. A crash unwinds its shard's frames, so leak
+# detection stays on.
 MMGPU_FAULT_SERVE_CRASH_EVERY=5 \
 MMGPU_FAULT_SERVE_STALL_AT_JOB=3 MMGPU_FAULT_SERVE_STALL_MS=500 \
 MMGPU_FAULT_SERVE_CONN_RESET_EVERY=7 \
@@ -230,11 +230,11 @@ build-asan/examples/mmgpu_client --connect "${serve_dir}/chaos.sock" \
     --shutdown > /dev/null
 wait "${chaos_pid}"
 
-echo "== TSan tree (lockdep-instrumented serve mutexes) =="
-# The default contract level (1) keeps sync::Mutex on the lockdep
-# runtime, so tier2's serve/chaos suites run BOTH validators at once:
-# TSan sees the schedules that happen, lockdep proves the orderings
-# that could invert even when this run's schedule stayed lucky.
+echo "== TSan tree (data races + lock-order inversions) =="
+# TSan is the runtime half of the concurrency discipline: its race
+# detector sees the schedules that happen, and its deadlock detector
+# reports two mutexes taken in opposite orders even when this run's
+# schedule never deadlocked (test_lock_order proves it is armed).
 configure_and_build build-tsan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMMGPU_SANITIZE=thread

@@ -15,8 +15,9 @@
  *            accounting checks that walk whole data structures
  *
  * A violated contract is a framework bug, never a user error, so all
- * three report through mmgpu_panic (abort + core dump), matching the
- * logging severity contract. User-input validation must keep using
+ * three report through mmgpu_panic (abort + core dump, or an unwind
+ * to the enclosing catchPanic() scope), matching the logging
+ * severity contract. User-input validation must keep using
  * Result<T, SimError> / mmgpu_fatal instead — contracts are not an
  * error-reporting channel and vanish at level 0.
  *

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
+#include <utility>
 
 namespace mmgpu
 {
@@ -21,10 +22,14 @@ logMutex()
     return mutex;
 }
 
-// Per-thread supervision hook; see setThreadPanicTrap() in the
-// header. A plain function pointer (not std::function) so installing
-// and clearing it is trivially async-signal-tolerant.
-thread_local void (*panicTrap)(const std::string &) = nullptr;
+/** What a panic throws inside catchPanic(); nothing else catches it. */
+struct Crash
+{
+    std::string message;
+};
+
+/** Depth of the catchPanic() scopes open on this thread. */
+thread_local int catchDepth = 0;
 
 } // namespace
 
@@ -34,10 +39,22 @@ setInformEnabled(bool enabled)
     informEnabled.store(enabled, std::memory_order_relaxed);
 }
 
-void
-setThreadPanicTrap(void (*trap)(const std::string &msg))
+std::optional<std::string>
+catchPanic(const std::function<void()> &body)
 {
-    panicTrap = trap;
+    struct Depth
+    {
+        Depth() { ++catchDepth; }
+        ~Depth() { --catchDepth; }
+        Depth(const Depth &) = delete;
+        Depth &operator=(const Depth &) = delete;
+    } depth;
+    try {
+        body();
+    } catch (Crash &crash) {
+        return std::move(crash.message);
+    }
+    return std::nullopt;
 }
 
 namespace detail
@@ -51,13 +68,8 @@ panicImpl(const char *file, int line, const std::string &msg)
         std::cerr << "panic: " << msg << "\n  @ " << file << ":"
                   << line << std::endl;
     }
-    if (panicTrap != nullptr) {
-        // The trap unwinds (siglongjmp) to a supervised scope; clear
-        // it first so a panic raised *inside* the trap still aborts.
-        auto *trap = panicTrap;
-        panicTrap = nullptr;
-        trap(msg);
-    }
+    if (catchDepth > 0)
+        throw Crash{msg};
     std::abort();
 }
 

@@ -4,7 +4,10 @@
  *
  * Severity contract (mirrors gem5's logging.hh):
  *  - panic():  an internal invariant was violated — a framework bug.
- *              Aborts so a debugger/core dump can catch it.
+ *              Aborts so a debugger/core dump can catch it, unless
+ *              the thread is inside a catchPanic() scope: there it
+ *              unwinds (destructors run) to that scope, which turns
+ *              it into an error.
  *  - fatal():  the simulation cannot continue because of a user error
  *              (bad configuration, impossible parameters). Exits(1).
  *  - warn():   something works, but not as well as it should.
@@ -14,6 +17,8 @@
 #ifndef MMGPU_COMMON_LOGGING_HH
 #define MMGPU_COMMON_LOGGING_HH
 
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -23,7 +28,10 @@ namespace mmgpu
 namespace detail
 {
 
-/** Terminate with an internal-bug message; calls std::abort(). */
+/**
+ * Report an internal bug: unwind to the innermost catchPanic() scope
+ * of this thread, or call std::abort() when there is none.
+ */
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
@@ -89,16 +97,14 @@ inform(Args &&...args)
 void setInformEnabled(bool enabled);
 
 /**
- * Install a thread-local trap consulted by panic() *before* it
- * aborts. When set, panicImpl logs the message and calls the trap
- * instead of std::abort(); the trap must not return — it unwinds to
- * a supervised scope (the serve tier's shard supervisor does this
- * via siglongjmp, downgrading a contract-audit death to a
- * recoverable shard crash). Pass nullptr to restore abort semantics.
- * Affects only the calling thread; panics on untrapped threads still
- * abort, so the debugger/core-dump contract holds everywhere else.
+ * Run @p body as a supervised scope: a panic on this thread inside
+ * it unwinds to here, running every destructor on the way, and is
+ * returned as its text. @return nullopt when @p body returned.
+ * Scopes nest (the innermost catches). Panics on other threads, and
+ * panics raised inside a destructor or other noexcept function,
+ * still abort.
  */
-void setThreadPanicTrap(void (*trap)(const std::string &msg));
+std::optional<std::string> catchPanic(const std::function<void()> &body);
 
 } // namespace mmgpu
 

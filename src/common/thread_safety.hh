@@ -9,14 +9,14 @@
  *    names whether or not the compiler expands them to anything.
  *  - Under clang with -DMMGPU_THREAD_SAFETY=ON they additionally
  *    expand to the -Wthread-safety capability attributes, so clang's
- *    own analysis re-checks the same contracts (scripts/ci.sh runs
- *    that configuration when clang is on PATH; GCC builds see empty
- *    expansions and pay nothing).
+ *    own analysis re-checks the same contracts wherever the mutex
+ *    type is a clang capability (std::mutex is one only in libc++
+ *    built with its thread-safety annotations; no type in src/
+ *    declares one). scripts/ci.sh runs that configuration when clang
+ *    is on PATH; GCC builds see empty expansions and pay nothing.
  *
  * Vocabulary (names follow the clang attribute they map to):
  *
- *   MMGPU_CAPABILITY(x)        the annotated type is a lockable
- *                              capability (sync::Mutex carries this)
  *   MMGPU_GUARDED_BY(m)        field (or condition variable) may only
  *                              be touched while m is held
  *   MMGPU_REQUIRES(m)          function must be called with m held —
@@ -27,12 +27,6 @@
  *                              acquired before m wherever both are
  *                              held (seed edges of the lint's
  *                              lock-order DAG)
- *   MMGPU_ACQUIRE()/MMGPU_RELEASE()/MMGPU_TRY_ACQUIRE(b)
- *                              lock-function annotations for the
- *                              sync::Mutex wrapper itself
- *   MMGPU_NO_THREAD_SAFETY_ANALYSIS
- *                              opt a function out of clang's analysis
- *                              (lockdep internals, test harnesses)
  *
  * Annotations go after the declarator name:
  *
@@ -49,20 +43,11 @@
 #define MMGPU_TSA_ATTR(x)
 #endif
 
-#define MMGPU_CAPABILITY(x) MMGPU_TSA_ATTR(capability(x))
 #define MMGPU_GUARDED_BY(m) MMGPU_TSA_ATTR(guarded_by(m))
 #define MMGPU_REQUIRES(...) \
     MMGPU_TSA_ATTR(requires_capability(__VA_ARGS__))
 #define MMGPU_EXCLUDES(...) MMGPU_TSA_ATTR(locks_excluded(__VA_ARGS__))
 #define MMGPU_ACQUIRED_BEFORE(...) \
     MMGPU_TSA_ATTR(acquired_before(__VA_ARGS__))
-#define MMGPU_ACQUIRE(...) \
-    MMGPU_TSA_ATTR(acquire_capability(__VA_ARGS__))
-#define MMGPU_RELEASE(...) \
-    MMGPU_TSA_ATTR(release_capability(__VA_ARGS__))
-#define MMGPU_TRY_ACQUIRE(...) \
-    MMGPU_TSA_ATTR(try_acquire_capability(__VA_ARGS__))
-#define MMGPU_NO_THREAD_SAFETY_ANALYSIS \
-    MMGPU_TSA_ATTR(no_thread_safety_analysis)
 
 #endif // MMGPU_COMMON_THREAD_SAFETY_HH

@@ -22,16 +22,6 @@ defaultSensorFaults()
     return spec;
 }
 
-std::uint64_t
-LinkFaultSpec::digest() const
-{
-    if (faults.empty())
-        return 0;
-    Fnv1a hash;
-    hashFields(hash, *this);
-    return hash.digest();
-}
-
 bool
 HarnessFaultSpec::matches(const std::vector<std::string> &points,
                           const std::string &config,

@@ -111,10 +111,6 @@ struct LinkFaultSpec
 
     bool empty() const { return faults.empty(); }
 
-    /** Order-sensitive FNV-1a digest of the field list; 0 for the
-     *  empty spec. */
-    std::uint64_t digest() const;
-
     auto operator<=>(const LinkFaultSpec &) const = default;
 
     /** The field list (common/fields.hh). */

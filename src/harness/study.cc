@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/contract.hh"
-#include "common/crash_guard.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/thread_safety.hh"
@@ -411,22 +410,22 @@ ScalingRunner::compute(const sim::GpuConfig &config,
         }
 
         // A panic inside the simulator (contract audit, engine
-        // assert) must become an error *here*: ensure() runs us
-        // under a per-entry std::call_once, and a longjmp across a
-        // once_flag is undefined (and deadlocks every waiter). The
-        // guarded work lives in simulate()'s own frame, which the
-        // jump abandons wholesale.
-        CrashTrap trap;
-        if (sigsetjmp(trap.jumpBuffer(), 0) == 0) {
-            return simulate(config, profile, link_energy_scale,
-                            const_growth_override, fingerprint);
-        }
-        return SimError::unavailable("simulation panicked: " +
-                                     trap.message());
+        // assert) becomes this point's error, so one bad point fails
+        // alone instead of aborting its sweep or its shard. The
+        // unwind frees the machine the run was driving; it never
+        // returns to the pool.
+        std::optional<std::string> crash = catchPanic([&] {
+            outcome = simulate(config, profile, link_energy_scale,
+                               const_growth_override, fingerprint);
+        });
+        if (crash)
+            return SimError::unavailable("simulation panicked: " +
+                                         *crash);
+        return outcome;
     }
 }
 
-Result<RunOutcome>
+RunOutcome
 ScalingRunner::simulate(const sim::GpuConfig &config,
                         const trace::KernelProfile &profile,
                         double link_energy_scale,

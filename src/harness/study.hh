@@ -233,8 +233,8 @@ class ScalingRunner
      * serve supervisor calls this after a shard crash: a machine the
      * crash may have left in a corrupt half-run state must never be
      * reused, so the next run of that config rebuilds from scratch.
-     * A machine checked out by the crashing job is simply abandoned —
-     * it is never released back into the pool.
+     * A machine checked out by the crashing job is destroyed by the
+     * unwind; it is never released back into the pool.
      * @return machines destroyed.
      */
     std::size_t invalidateMachines(const sim::GpuConfig &config);
@@ -313,18 +313,13 @@ class ScalingRunner
 
     /**
      * The machine-driving tail of compute(): acquire, run, estimate,
-     * release, persist. Lives in its own frame so compute()'s panic
-     * trap can abandon it wholesale — a panicking simulation must
-     * not unwind past the per-entry call_once in ensure(), so it is
-     * converted to an Unavailable error at the compute() boundary.
-     * The machine being driven is simply never released; callers
-     * (the serve supervisor) retire its pooled siblings.
+     * release, persist. compute() runs it inside catchPanic().
      */
-    Result<RunOutcome> simulate(const sim::GpuConfig &config,
-                                const trace::KernelProfile &profile,
-                                double link_energy_scale,
-                                double const_growth_override,
-                                std::uint64_t fingerprint) const;
+    RunOutcome simulate(const sim::GpuConfig &config,
+                        const trace::KernelProfile &profile,
+                        double link_energy_scale,
+                        double const_growth_override,
+                        std::uint64_t fingerprint) const;
 
     const StudyContext *context_;
     std::unique_ptr<Cache> cache_;

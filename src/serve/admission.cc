@@ -46,7 +46,7 @@ AdmissionQueue::tryPush(Request request, std::int64_t now_ms,
     if (retry_after_ms != nullptr)
         *retry_after_ms = 0;
     {
-        std::lock_guard<sync::Mutex> lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         if (stopped_.load())
             return Admit::Stopped;
 
@@ -139,7 +139,7 @@ bool
 AdmissionQueue::requeue(Job job)
 {
     {
-        std::lock_guard<sync::Mutex> lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         if (stopped_.load())
             return false;
         int priority = job.request.priority;
@@ -155,7 +155,7 @@ AdmissionQueue::requeue(Job job)
 std::optional<Job>
 AdmissionQueue::pop()
 {
-    std::unique_lock<sync::Mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock,
              [this] { return stopped_.load() || !queue_.empty(); });
     if (queue_.empty())
@@ -172,7 +172,7 @@ AdmissionQueue::noteServiced(std::int64_t service_ms)
 {
     if (service_ms < 0)
         return;
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     double sample = static_cast<double>(service_ms);
     serviceEwmaMs_ = serviceEwmaMs_ == 0.0
                          ? sample
@@ -183,7 +183,7 @@ void
 AdmissionQueue::stop()
 {
     {
-        std::lock_guard<sync::Mutex> lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stopped_.store(true);
         cv_.notify_all();
     }
@@ -192,7 +192,7 @@ AdmissionQueue::stop()
 std::size_t
 AdmissionQueue::depth() const
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     return queue_.size();
 }
 

@@ -36,14 +36,15 @@
 #define MMGPU_SERVE_ADMISSION_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "common/lockdep.hh"
 #include "common/thread_safety.hh"
 #include "serve/request.hh"
 
@@ -174,8 +175,8 @@ class AdmissionQueue
     };
 
     AdmissionOptions options_;
-    mutable sync::Mutex mutex_;
-    sync::ConditionVariable cv_ MMGPU_GUARDED_BY(mutex_);
+    mutable std::mutex mutex_;
+    std::condition_variable cv_ MMGPU_GUARDED_BY(mutex_);
     /** (priority, ticket) -> job; map order is the service order. */
     std::map<std::pair<int, std::uint64_t>, Job> queue_
         MMGPU_GUARDED_BY(mutex_);

@@ -1,9 +1,8 @@
 #include "serve/batch.hh"
 
+#include <condition_variable>
 #include <mutex>
 #include <string>
-
-#include "common/lockdep.hh"
 
 namespace mmgpu::serve
 {
@@ -20,18 +19,18 @@ runBatch(SimService &service, std::istream &in, std::ostream &out)
         if (first == std::string::npos || line[first] == '#')
             continue;
 
-        sync::Mutex mutex;
-        sync::ConditionVariable cv;
+        std::mutex mutex;
+        std::condition_variable cv;
         bool ready = false;
         Response response;
         service.submitLine(line, [&](const Response &r) {
-            std::lock_guard<sync::Mutex> lock(mutex);
+            std::lock_guard<std::mutex> lock(mutex);
             response = r;
             ready = true;
             cv.notify_one();
         });
         {
-            std::unique_lock<sync::Mutex> lock(mutex);
+            std::unique_lock<std::mutex> lock(mutex);
             cv.wait(lock, [&] { return ready; });
         }
 

@@ -1,10 +1,7 @@
 #include "serve/service.hh"
 
-#include <setjmp.h>
-
 #include <algorithm>
 
-#include "common/crash_guard.hh"
 #include "common/logging.hh"
 #include "common/wallclock.hh"
 #include "trace/workloads.hh"
@@ -185,7 +182,7 @@ SimService::submit(Request request, ResponseCallback done)
     // the dedicated Poisoned code so clients know not to retry.
     if (supervisor_.quarantined(identity)) {
         {
-            std::lock_guard<sync::Mutex> tlock(telMutex_);
+            std::lock_guard<std::mutex> tlock(telMutex_);
             cPoisonedAnswers_->add();
         }
         done(Response::error(
@@ -201,7 +198,7 @@ SimService::submit(Request request, ResponseCallback done)
     std::int64_t breaker_now = wallclock::nowMs();
     if (breaker_.open(cls, static_cast<std::uint64_t>(breaker_now))) {
         {
-            std::lock_guard<sync::Mutex> tlock(telMutex_);
+            std::lock_guard<std::mutex> tlock(telMutex_);
             cRejected_->add();
         }
         done(Response::rejected(
@@ -219,11 +216,11 @@ SimService::submit(Request request, ResponseCallback done)
         // One lock spans the attach-or-admit decision so a duplicate
         // arriving between "no entry" and "queued" cannot slip
         // through and simulate twice.
-        std::lock_guard<sync::Mutex> lock(inflightMutex_);
+        std::lock_guard<std::mutex> lock(inflightMutex_);
         auto it = inflight_.find(identity);
         if (it != inflight_.end()) {
             it->second.sinks.emplace_back(id, std::move(done));
-            std::lock_guard<sync::Mutex> tlock(telMutex_);
+            std::lock_guard<std::mutex> tlock(telMutex_);
             cDedup_->add();
             return;
         }
@@ -234,12 +231,12 @@ SimService::submit(Request request, ResponseCallback done)
                                                    std::move(done));
     }
     if (admit == Admit::Accepted) {
-        std::lock_guard<sync::Mutex> tlock(telMutex_);
+        std::lock_guard<std::mutex> tlock(telMutex_);
         cAccepted_->add();
         return;
     }
     {
-        std::lock_guard<sync::Mutex> tlock(telMutex_);
+        std::lock_guard<std::mutex> tlock(telMutex_);
         cRejected_->add();
     }
     const char *reason = "admission queue is full";
@@ -276,17 +273,17 @@ SimService::submitLine(const std::string &line, ResponseCallback done,
 Response
 SimService::call(Request request)
 {
-    sync::Mutex mutex;
-    sync::ConditionVariable cv;
+    std::mutex mutex;
+    std::condition_variable cv;
     bool ready = false;
     Response out;
     submit(std::move(request), [&](const Response &response) {
-        std::lock_guard<sync::Mutex> lock(mutex);
+        std::lock_guard<std::mutex> lock(mutex);
         out = response;
         ready = true;
         cv.notify_one();
     });
-    std::unique_lock<sync::Mutex> lock(mutex);
+    std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return ready; });
     return out;
 }
@@ -301,7 +298,7 @@ SimService::beginShutdown()
     // with: a bare notify can land between that check and the block
     // and be lost, hanging the daemon's run loop forever.
     {
-        std::lock_guard<sync::Mutex> lock(shutdownMutex_);
+        std::lock_guard<std::mutex> lock(shutdownMutex_);
         shutdownCv_.notify_all();
     }
 }
@@ -309,7 +306,7 @@ SimService::beginShutdown()
 void
 SimService::waitShutdown()
 {
-    std::unique_lock<sync::Mutex> lock(shutdownMutex_);
+    std::unique_lock<std::mutex> lock(shutdownMutex_);
     shutdownCv_.wait(lock, [this] { return shutdown_.load(); });
 }
 
@@ -332,7 +329,7 @@ SimService::join()
     // once, even across a dying service.
     std::vector<std::uint64_t> leftover;
     {
-        std::lock_guard<sync::Mutex> lock(inflightMutex_);
+        std::lock_guard<std::mutex> lock(inflightMutex_);
         for (const auto &[identity, entry] : inflight_)
             leftover.push_back(identity);
     }
@@ -377,14 +374,21 @@ SimService::execute(std::size_t shard, const Job &job)
 
     std::int64_t job_start_ns = wallclock::nowNs();
     Response response;
-    std::string crash_msg;
-    bool crashed = runGuarded(shard, job, response, crash_msg);
+    // A panic in the job body unwinds to here instead of aborting
+    // the daemon.
+    std::optional<std::string> crash = catchPanic([&] {
+        maybeInjectCrash(job);
+        response = job.request.type == RequestType::Run
+                       ? executeRun(job.request, cancel_[shard].get())
+                       : executeStudy(job.request,
+                                      cancel_[shard].get());
+    });
     auto job_ns = static_cast<std::uint64_t>(wallclock::nowNs() -
                                              job_start_ns);
     shardSites_[shard]->addSample(job_ns, job_ns);
 
-    if (crashed) {
-        crashRecover(shard, job, crash_msg);
+    if (crash) {
+        crashRecover(shard, job, *crash);
         return;
     }
 
@@ -409,7 +413,7 @@ SimService::execute(std::size_t shard, const Job &job)
 
     std::vector<std::pair<std::string, ResponseCallback>> sinks;
     {
-        std::lock_guard<sync::Mutex> lock(inflightMutex_);
+        std::lock_guard<std::mutex> lock(inflightMutex_);
         auto it = inflight_.find(job.request.workIdentity());
         if (it != inflight_.end()) {
             sinks = std::move(it->second.sinks);
@@ -419,7 +423,7 @@ SimService::execute(std::size_t shard, const Job &job)
     {
         // Count *requests answered*, not jobs executed: every
         // dedup-attached subscriber of this job gets a response.
-        std::lock_guard<sync::Mutex> tlock(telMutex_);
+        std::lock_guard<std::mutex> tlock(telMutex_);
         if (response.status == ResponseStatus::Ok)
             cCompleted_->add(static_cast<double>(sinks.size()));
         else
@@ -431,28 +435,6 @@ SimService::execute(std::size_t shard, const Job &job)
         copy.id = sink_id;
         sink(copy);
     }
-}
-
-bool
-SimService::runGuarded(std::size_t shard, const Job &job,
-                       Response &response, std::string &crash_msg)
-{
-    // The trap's fields are written through the thread-local active
-    // pointer (they escape), so reading them after the siglongjmp is
-    // well-defined in practice; locals of the *interrupted* frames
-    // (executeRun and below) are abandoned — pooled machines, the
-    // one resource that matters, are retired by crashRecover().
-    CrashTrap trap;
-    if (sigsetjmp(trap.jumpBuffer(), 0) == 0) {
-        maybeInjectCrash(job);
-        response = job.request.type == RequestType::Run
-                       ? executeRun(job.request, cancel_[shard].get())
-                       : executeStudy(job.request,
-                                      cancel_[shard].get());
-        return false;
-    }
-    crash_msg = trap.message();
-    return true;
 }
 
 void
@@ -500,7 +482,7 @@ SimService::crashRecover(std::size_t shard, const Job &job,
     // Crash isolation: whatever machine the job was driving is in an
     // unknown state. Retire every pooled machine of its config so no
     // later run inherits the wreckage (the checked-out one was
-    // abandoned by the longjmp and never returns to the pool).
+    // destroyed by the unwind and never returns to the pool).
     runner_.invalidateMachines(job.request.spec.config());
 
     const std::uint64_t identity = job.request.workIdentity();
@@ -508,7 +490,7 @@ SimService::crashRecover(std::size_t shard, const Job &job,
         static_cast<unsigned>(shard), identity, crash_msg,
         static_cast<std::uint64_t>(wallclock::nowMs()));
     {
-        std::lock_guard<sync::Mutex> tlock(telMutex_);
+        std::lock_guard<std::mutex> tlock(telMutex_);
         cCrashes_->add();
     }
     breaker_.record(breakerClassOf(job.request.type), false,
@@ -534,7 +516,7 @@ SimService::crashRecover(std::size_t shard, const Job &job,
         }
     } else {
         {
-            std::lock_guard<sync::Mutex> tlock(telMutex_);
+            std::lock_guard<std::mutex> tlock(telMutex_);
             cPoisonedAnswers_->add();
         }
         answerSinks(identity,
@@ -563,7 +545,7 @@ SimService::answerSinks(std::uint64_t identity,
 {
     std::vector<std::pair<std::string, ResponseCallback>> sinks;
     {
-        std::lock_guard<sync::Mutex> lock(inflightMutex_);
+        std::lock_guard<std::mutex> lock(inflightMutex_);
         auto it = inflight_.find(identity);
         if (it != inflight_.end()) {
             sinks = std::move(it->second.sinks);
@@ -571,7 +553,7 @@ SimService::answerSinks(std::uint64_t identity,
         }
     }
     {
-        std::lock_guard<sync::Mutex> tlock(telMutex_);
+        std::lock_guard<std::mutex> tlock(telMutex_);
         cFailed_->add(static_cast<double>(sinks.size()));
     }
     for (auto &[sink_id, sink] : sinks) {
@@ -598,7 +580,7 @@ SimService::executeRun(const Request &request,
     }
     if (!runner_.cached(config, *profile, spec.linkEnergyScale,
                         spec.constGrowthOverride)) {
-        std::lock_guard<sync::Mutex> tlock(telMutex_);
+        std::lock_guard<std::mutex> tlock(telMutex_);
         cSims_->add();
     }
     Result<const harness::RunOutcome *> outcome = runner_.tryRun(
@@ -640,7 +622,7 @@ SimService::executeStudy(const Request &request,
     const sim::GpuConfig baseline = sim::baselineConfig();
     for (const trace::KernelProfile &profile : workloads) {
         if (!runner_.cached(baseline, profile)) {
-            std::lock_guard<sync::Mutex> tlock(telMutex_);
+            std::lock_guard<std::mutex> tlock(telMutex_);
             cSims_->add();
         }
         Result<const harness::RunOutcome *> one =
@@ -649,7 +631,7 @@ SimService::executeStudy(const Request &request,
             return Response::error(request.id, one.error());
         if (!runner_.cached(config, profile, spec.linkEnergyScale,
                             spec.constGrowthOverride)) {
-            std::lock_guard<sync::Mutex> tlock(telMutex_);
+            std::lock_guard<std::mutex> tlock(telMutex_);
             cSims_->add();
         }
         Result<const harness::RunOutcome *> scaled = runner_.tryRun(
@@ -718,7 +700,7 @@ SimService::statsResponse(const std::string &id)
     }
     doc.set("supervisor-events", std::move(events));
     {
-        std::lock_guard<sync::Mutex> lock(frontendMutex_);
+        std::lock_guard<std::mutex> lock(frontendMutex_);
         if (frontendInfo_.isObject())
             doc.set("frontend", frontendInfo_);
     }
@@ -761,7 +743,7 @@ SimService::profResponse(const std::string &id)
 void
 SimService::recordLatency(double ms)
 {
-    std::lock_guard<sync::Mutex> lock(statsMutex_);
+    std::lock_guard<std::mutex> lock(statsMutex_);
     if (latencyRing_.size() < latencyRingCap)
         latencyRing_.push_back(ms);
     else
@@ -797,7 +779,7 @@ SimService::stats() const
 {
     ServiceStats s;
     {
-        std::lock_guard<sync::Mutex> tlock(telMutex_);
+        std::lock_guard<std::mutex> tlock(telMutex_);
         s.accepted = static_cast<std::uint64_t>(cAccepted_->value);
         s.rejected = static_cast<std::uint64_t>(cRejected_->value);
         s.completed = static_cast<std::uint64_t>(cCompleted_->value);
@@ -808,14 +790,14 @@ SimService::stats() const
     }
     s.queueDepth = queue_.depth();
     {
-        std::lock_guard<sync::Mutex> lock(inflightMutex_);
+        std::lock_guard<std::mutex> lock(inflightMutex_);
         s.inflight = inflight_.size();
     }
     s.busyShards = busyShardCount();
     s.shards = options_.shards;
     s.cacheHitRate = cacheHitRate();
     {
-        std::lock_guard<sync::Mutex> lock(statsMutex_);
+        std::lock_guard<std::mutex> lock(statsMutex_);
         s.latencyP50Ms = percentile(latencyRing_, 0.50);
         s.latencyP95Ms = percentile(latencyRing_, 0.95);
     }
@@ -833,14 +815,14 @@ SimService::stats() const
 void
 SimService::setFrontendInfo(JsonValue info)
 {
-    std::lock_guard<sync::Mutex> lock(frontendMutex_);
+    std::lock_guard<std::mutex> lock(frontendMutex_);
     frontendInfo_ = std::move(info);
 }
 
 std::vector<StatsSample>
 SimService::timeseries() const
 {
-    std::lock_guard<sync::Mutex> lock(statsMutex_);
+    std::lock_guard<std::mutex> lock(statsMutex_);
     return {samples_.begin(), samples_.end()};
 }
 
@@ -886,19 +868,19 @@ SimService::housekeepLoop()
         sample.queueDepth = queue_.depth();
         sample.busyShards = busyShardCount();
         {
-            std::lock_guard<sync::Mutex> lock(inflightMutex_);
+            std::lock_guard<std::mutex> lock(inflightMutex_);
             sample.inflight = inflight_.size();
         }
         sample.cacheHitRate = cacheHitRate();
         sample.crashes = supervisor_.stats().crashes;
         {
-            std::lock_guard<sync::Mutex> lock(statsMutex_);
+            std::lock_guard<std::mutex> lock(statsMutex_);
             samples_.push_back(sample);
             while (samples_.size() > options_.timeseriesCap)
                 samples_.pop_front();
         }
         {
-            std::lock_guard<sync::Mutex> tlock(telMutex_);
+            std::lock_guard<std::mutex> tlock(telMutex_);
             gQueueDepth_->set(
                 static_cast<double>(sample.queueDepth));
             gInflight_->set(static_cast<double>(sample.inflight));

@@ -35,6 +35,7 @@
 #define MMGPU_SERVE_SERVICE_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -44,7 +45,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/lockdep.hh"
 #include "common/prof.hh"
 #include "common/thread_safety.hh"
 #include "fault/fault_plan.hh"
@@ -220,15 +220,6 @@ class SimService
     /** Execute one admitted job and fan its response out. */
     void execute(std::size_t shard, const Job &job);
 
-    /**
-     * Run the job body inside a CrashTrap (panic -> siglongjmp back
-     * here instead of aborting the daemon). @return true when the
-     * job crashed; @p crash_msg then holds the panic text, otherwise
-     * @p response holds the answer.
-     */
-    bool runGuarded(std::size_t shard, const Job &job,
-                    Response &response, std::string &crash_msg);
-
     /** Injected chaos: sleep when the fault plan stalls this job. */
     void maybeInjectStall(const Job &job);
 
@@ -274,7 +265,7 @@ class SimService
     // In-flight dedup table, keyed on Request::workIdentity().
     // Lock order: the dedup lock is outermost — telemetry updates
     // nest inside it on the attach-or-admit path.
-    mutable sync::Mutex inflightMutex_
+    mutable std::mutex inflightMutex_
         MMGPU_ACQUIRED_BEFORE(telMutex_);
     std::map<std::uint64_t, InFlight> inflight_
         MMGPU_GUARDED_BY(inflightMutex_);
@@ -294,7 +285,7 @@ class SimService
     std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> generation_;
 
     // Health timeseries + latency ring (statsMutex_).
-    mutable sync::Mutex statsMutex_;
+    mutable std::mutex statsMutex_;
     std::deque<StatsSample> samples_ MMGPU_GUARDED_BY(statsMutex_);
     std::vector<double> latencyRing_ MMGPU_GUARDED_BY(statsMutex_);
     std::size_t latencyNext_ MMGPU_GUARDED_BY(statsMutex_) = 0;
@@ -313,22 +304,22 @@ class SimService
     telemetry::Gauge *gInflight_ = nullptr;
     telemetry::Gauge *gBusyShards_ = nullptr;
     telemetry::Gauge *gHitRate_ = nullptr;
-    mutable sync::Mutex telMutex_; //!< guards all counter/gauge
-                                   //!< updates (through the cached
-                                   //!< pointers above, so the fields
-                                   //!< themselves stay const-ish)
+    mutable std::mutex telMutex_; //!< guards all counter/gauge
+                                  //!< updates (through the cached
+                                  //!< pointers above, so the fields
+                                  //!< themselves stay const-ish)
 
     // Front-end self-description (frontendMutex_); see
     // setFrontendInfo().
-    mutable sync::Mutex frontendMutex_;
+    mutable std::mutex frontendMutex_;
     JsonValue frontendInfo_ MMGPU_GUARDED_BY(frontendMutex_);
 
     std::vector<std::thread> workers_;
     std::thread housekeeper_;
     std::atomic<bool> shutdown_{false};
     std::atomic<bool> stopHousekeeper_{false};
-    sync::Mutex shutdownMutex_;
-    sync::ConditionVariable shutdownCv_
+    std::mutex shutdownMutex_;
+    std::condition_variable shutdownCv_
         MMGPU_GUARDED_BY(shutdownMutex_);
     bool started_ = false;
     bool joined_ = false;

@@ -69,7 +69,7 @@ SocketServer::ConnState::~ConnState()
 bool
 SocketServer::ConnState::writeLine(const std::string &line)
 {
-    std::lock_guard<sync::Mutex> lock(writeMutex);
+    std::lock_guard<std::mutex> lock(writeMutex);
     if (!alive.load())
         return false;
     std::string framed = line;
@@ -220,7 +220,7 @@ SocketServer::stop()
     // writer it is trying to unblock.
     std::map<std::uint64_t, std::thread> threads;
     {
-        std::lock_guard<sync::Mutex> lock(connMutex_);
+        std::lock_guard<std::mutex> lock(connMutex_);
         for (const auto &weak : conns_) {
             if (std::shared_ptr<ConnState> conn = weak.lock()) {
                 conn->alive.store(false);
@@ -258,7 +258,7 @@ SocketServer::acceptLoop()
         accepted_.fetch_add(1);
         auto conn = std::make_shared<ConnState>(
             fd, options_.writeBudgetMs);
-        std::lock_guard<sync::Mutex> lock(connMutex_);
+        std::lock_guard<std::mutex> lock(connMutex_);
         std::uint64_t id = nextConnId_++;
         conns_.push_back(conn);
         connThreads_.emplace(id, std::thread([this, id, conn] {
@@ -272,7 +272,7 @@ SocketServer::reapFinished()
 {
     std::vector<std::thread> finished;
     {
-        std::lock_guard<sync::Mutex> lock(connMutex_);
+        std::lock_guard<std::mutex> lock(connMutex_);
         for (std::uint64_t id : finishedConns_) {
             auto it = connThreads_.find(id);
             if (it == connThreads_.end())
@@ -297,7 +297,7 @@ SocketServer::reapFinished()
 std::size_t
 SocketServer::trackedConnectionThreads() const
 {
-    std::lock_guard<sync::Mutex> lock(connMutex_);
+    std::lock_guard<std::mutex> lock(connMutex_);
     return connThreads_.size();
 }
 
@@ -384,7 +384,7 @@ SocketServer::connectionLoop(std::uint64_t id,
         pending.erase(0, start);
     }
     conn->alive.store(false);
-    std::lock_guard<sync::Mutex> lock(connMutex_);
+    std::lock_guard<std::mutex> lock(connMutex_);
     finishedConns_.push_back(id);
 }
 

@@ -30,11 +30,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/lockdep.hh"
 #include "common/result.hh"
 #include "common/thread_safety.hh"
 #include "fault/fault_plan.hh"
@@ -150,7 +150,7 @@ class SocketServer
 
         const int fd;
         const int writeBudgetMs;       //!< stall budget (options)
-        sync::Mutex writeMutex;        //!< serializes writers only
+        std::mutex writeMutex;         //!< serializes writers only
         std::atomic<bool> alive{true}; //!< cleared outside the mutex
     };
 
@@ -188,7 +188,7 @@ class SocketServer
     std::atomic<std::uint64_t> accepted_{0};
     bool running_ = false;
 
-    mutable sync::Mutex connMutex_;
+    mutable std::mutex connMutex_;
     std::uint64_t nextConnId_ MMGPU_GUARDED_BY(connMutex_) = 0;
     std::map<std::uint64_t, std::thread> connThreads_
         MMGPU_GUARDED_BY(connMutex_);

@@ -23,7 +23,7 @@ ShardSupervisor::onCrash(unsigned shard, std::uint64_t fingerprint,
                          const std::string &message,
                          std::uint64_t wall_ms)
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     ++crashes_;
 
     unsigned strike = ++strikes_[fingerprint];
@@ -65,21 +65,21 @@ ShardSupervisor::onCrash(unsigned shard, std::uint64_t fingerprint,
 void
 ShardSupervisor::onHealthy(unsigned shard)
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     shardBackoffMs_.erase(shard);
 }
 
 bool
 ShardSupervisor::quarantined(std::uint64_t fingerprint) const
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     return quarantine_.count(fingerprint) != 0;
 }
 
 SupervisorStats
 ShardSupervisor::stats() const
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     SupervisorStats stats;
     stats.crashes = crashes_;
     stats.requeues = requeues_;
@@ -92,7 +92,7 @@ ShardSupervisor::stats() const
 std::vector<SupervisorEvent>
 ShardSupervisor::events() const
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     return {events_.begin(), events_.end()};
 }
 
@@ -122,7 +122,7 @@ void
 CircuitBreaker::record(std::size_t cls, bool ok,
                        std::uint64_t wall_ms)
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (cls >= classes_.size())
         return;
     ClassState &state = classes_[cls];
@@ -156,7 +156,7 @@ CircuitBreaker::record(std::size_t cls, bool ok,
 bool
 CircuitBreaker::open(std::size_t cls, std::uint64_t wall_ms) const
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (cls >= classes_.size())
         return false;
     const ClassState &state = classes_[cls];
@@ -167,7 +167,7 @@ std::uint64_t
 CircuitBreaker::retryAfterMs(std::size_t cls,
                              std::uint64_t wall_ms) const
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (cls >= classes_.size())
         return 0;
     const ClassState &state = classes_[cls];
@@ -179,7 +179,7 @@ CircuitBreaker::retryAfterMs(std::size_t cls,
 std::uint64_t
 CircuitBreaker::trips() const
 {
-    std::lock_guard<sync::Mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     return trips_;
 }
 

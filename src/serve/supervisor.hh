@@ -5,7 +5,7 @@
  *
  * The serve tier must survive its own engine. A simulation that dies
  * inside a shard (an injected chaos crash, a contract-audit panic
- * downgraded via the thread panic trap, a watchdog cancellation that
+ * caught by catchPanic(), a watchdog cancellation that
  * poisons the machine) is a *shard* problem, not a *daemon* problem:
  * the supervisor retires the possibly-corrupt machine, restarts the
  * shard after a bounded exponential backoff, and either re-queues the
@@ -24,12 +24,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "common/lockdep.hh"
 #include "common/thread_safety.hh"
 
 namespace mmgpu::serve
@@ -117,7 +117,7 @@ class ShardSupervisor
     std::vector<SupervisorEvent> events() const;
 
   private:
-    mutable sync::Mutex mutex_;
+    mutable std::mutex mutex_;
     SupervisorOptions options_;
     std::unordered_map<std::uint64_t, unsigned> strikes_
         MMGPU_GUARDED_BY(mutex_);
@@ -190,7 +190,7 @@ class CircuitBreaker
     void resetLocked(ClassState &state) const
         MMGPU_REQUIRES(mutex_);
 
-    mutable sync::Mutex mutex_;
+    mutable std::mutex mutex_;
     BreakerOptions options_;
     std::vector<ClassState> classes_ MMGPU_GUARDED_BY(mutex_);
     std::uint64_t trips_ MMGPU_GUARDED_BY(mutex_) = 0;

@@ -39,27 +39,6 @@ TEST(SensorFaultSpec, DefaultCampaignMeetsDocumentedFloor)
     EXPECT_GT(spec.spikeRate, 0.0);
 }
 
-TEST(LinkFaultSpec, DigestIsOrderSensitiveAndZeroWhenEmpty)
-{
-    LinkFaultSpec empty;
-    EXPECT_TRUE(empty.empty());
-    EXPECT_EQ(empty.digest(), 0u);
-
-    LinkFaultSpec a;
-    a.faults.push_back({0, 0, 0.0});
-    a.faults.push_back({1, 1, 0.5});
-    LinkFaultSpec b;
-    b.faults.push_back({1, 1, 0.5});
-    b.faults.push_back({0, 0, 0.0});
-    EXPECT_NE(a.digest(), 0u);
-    EXPECT_EQ(a.digest(), LinkFaultSpec{a}.digest());
-    EXPECT_NE(a.digest(), b.digest());
-
-    LinkFaultSpec derated = a;
-    derated.faults[0].capacityScale = 0.25;
-    EXPECT_NE(a.digest(), derated.digest());
-}
-
 TEST(LinkFault, FailedMeansExactlyZeroCapacity)
 {
     EXPECT_TRUE((LinkFault{0, 0, 0.0}.failed()));

@@ -12,12 +12,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "common/prof.hh"
 #include "common/wallclock.hh"
 
@@ -77,6 +80,29 @@ TEST(Prof, NestedScopesAttributeChildTimeToTheChild)
     EXPECT_EQ(child.inclusiveNs(), child.exclusiveNs());
 }
 
+TEST(Prof, PanicUnwindsThroughAnOpenScopeAndClosesIt)
+{
+    static prof::Site outer("test/panic_outer");
+    static prof::Site inner("test/panic_inner");
+    std::optional<std::string> crash;
+    {
+        prof::Scope scope(outer);
+        crash = catchPanic([] {
+            prof::Scope open(inner);
+            wallclock::sleepMs(1);
+            mmgpu_panic("panic inside a scope");
+        });
+    }
+    ASSERT_EQ(crash, "panic inside a scope");
+    // The unwind closed the inner scope: it recorded its call and
+    // charged its time to the outer scope as child time.
+    EXPECT_EQ(inner.calls(), 1u);
+    EXPECT_GE(inner.inclusiveNs(), 1000000u);
+    EXPECT_EQ(outer.calls(), 1u);
+    EXPECT_EQ(outer.exclusiveNs() + inner.inclusiveNs(),
+              outer.inclusiveNs());
+}
+
 TEST(Prof, ProfScopeMacroTimesTheEnclosingScope)
 {
     auto timed = [] {
@@ -85,8 +111,8 @@ TEST(Prof, ProfScopeMacroTimesTheEnclosingScope)
     };
     timed();
     timed();
-    const prof::SiteSnapshot *snap =
-        find(prof::snapshot(), "test/macro_scope");
+    const std::vector<prof::SiteSnapshot> sites = prof::snapshot();
+    const prof::SiteSnapshot *snap = find(sites, "test/macro_scope");
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(snap->calls, 2u);
     EXPECT_GE(snap->inclusiveNs, 2u * 1000000u);
@@ -96,8 +122,8 @@ TEST(Prof, CountMacroAccumulatesWithoutTiming)
 {
     for (int i = 0; i < 5; ++i)
         MMGPU_PROF_COUNT("test/count_macro", 2);
-    const prof::SiteSnapshot *snap =
-        find(prof::snapshot(), "test/count_macro");
+    const std::vector<prof::SiteSnapshot> sites = prof::snapshot();
+    const prof::SiteSnapshot *snap = find(sites, "test/count_macro");
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(snap->count, 10u);
     EXPECT_EQ(snap->calls, 0u);
@@ -109,8 +135,8 @@ TEST(Prof, DynamicSiteIsStableAndSharedPerLabel)
     prof::Site *b = prof::dynamicSite("test/dynamic7");
     ASSERT_EQ(a, b);
     a->addSample(100, 100);
-    const prof::SiteSnapshot *snap =
-        find(prof::snapshot(), "test/dynamic7");
+    const std::vector<prof::SiteSnapshot> sites = prof::snapshot();
+    const prof::SiteSnapshot *snap = find(sites, "test/dynamic7");
     ASSERT_NE(snap, nullptr);
     EXPECT_GE(snap->calls, 1u);
 }

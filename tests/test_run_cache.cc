@@ -15,6 +15,7 @@
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -308,6 +309,31 @@ TEST(FieldLists, EveryInputFieldMovesFingerprintAndRunKey)
         EXPECT_TRUE(key < base || base < key);
     }
     EXPECT_GT(leaves, 60u);
+}
+
+TEST(FieldLists, LinkFaultOrderAndDeratingMoveTheFingerprint)
+{
+    // The fault list is hashed in order, like every sequence field:
+    // the same faults in another order are another point, and so is
+    // a derated fault. The nudge walk above changes one value at a
+    // time, so it never reorders.
+    sim::GpuConfig faulted = sim::multiGpmConfig(4, sim::BwSetting::Bw2x);
+    faulted.linkFaults.faults.push_back({0, 0, 0.0});
+    faulted.linkFaults.faults.push_back({1, 1, 0.5});
+    sim::GpuConfig reordered = faulted;
+    std::swap(reordered.linkFaults.faults[0],
+              reordered.linkFaults.faults[1]);
+    sim::GpuConfig derated = faulted;
+    derated.linkFaults.faults[0].capacityScale = 0.25;
+    const trace::KernelProfile &profile =
+        trace::scalingWorkloads().front();
+    auto fingerprint = [&](const sim::GpuConfig &config) {
+        return runFingerprint(config, profile, 1.0, -1.0, 7);
+    };
+
+    EXPECT_EQ(fingerprint(faulted), fingerprint(sim::GpuConfig{faulted}));
+    EXPECT_NE(fingerprint(faulted), fingerprint(reordered));
+    EXPECT_NE(fingerprint(faulted), fingerprint(derated));
 }
 
 TEST(FieldLists, EveryResultFieldRoundTripsAndBreaksEquality)

@@ -149,6 +149,34 @@ TEST(Study, EditedConfigMissBuildsItsOwnMachineAndCachesItsResult)
     fs::remove_all("study_scratch");
 }
 
+TEST(Study, SimulatorPanicBecomesAnErrorAndFreesItsMachine)
+{
+    ScalingRunner runner(context());
+    runner.attachPersistentCache(nullptr);
+    // No loads and no compute: every warp trace is empty, which the
+    // trace generator asserts against in the middle of the run.
+    auto broken = tinyWorkload("broken", trace::WorkloadClass::Compute);
+    broken.loads.clear();
+    broken.compute.clear();
+    Result<const RunOutcome *> failed =
+        runner.tryRun(sim::baselineConfig(), broken);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error().code, ErrCode::Unavailable);
+    EXPECT_EQ(failed.error().describe().rfind(
+                  "unavailable: simulation panicked: ", 0),
+              0u)
+        << failed.error().describe();
+
+    // The unwind freed the crashed machine (a leak check fails the
+    // process otherwise); the runner builds a fresh one for the next
+    // point.
+    auto healthy = tinyWorkload("healthy", trace::WorkloadClass::Compute);
+    Result<const RunOutcome *> next =
+        runner.tryRun(sim::baselineConfig(), healthy);
+    ASSERT_TRUE(next.ok());
+    EXPECT_GT(next.value()->perf.execCycles, 0.0);
+}
+
 TEST(Study, EnergyPositiveAndDecomposed)
 {
     ScalingRunner runner(context());

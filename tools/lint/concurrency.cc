@@ -1,7 +1,8 @@
 /**
  * @file
  * mmgpu-lint concurrency rules: the static half of the repo's
- * concurrency discipline (the dynamic half is common/lockdep.hh).
+ * concurrency discipline (the dynamic half is TSan's race and
+ * lock-order detectors, run over tier2 by scripts/ci.sh).
  *
  * These rules read the MMGPU_GUARDED_BY / MMGPU_REQUIRES /
  * MMGPU_ACQUIRED_BEFORE annotations from common/thread_safety.hh as
@@ -236,7 +237,7 @@ public:
         if ((tok.text == "class" || tok.text == "struct") &&
             !(i > 0 && isIdentTok(toks[i - 1], "enum"))) {
             // The next plain identifier names the type; skip
-            // attribute-macro noise like MMGPU_CAPABILITY("mutex").
+            // attribute-macro noise like MMGPU_FOO("x").
             for (std::size_t j = i + 1; j < toks.size(); ++j) {
                 const Token &t = toks[j];
                 if (t.kind == Token::Kind::Identifier) {

@@ -529,13 +529,14 @@ Config::repoDefault()
     };
     // Calls that can block indefinitely (or for a scheduling
     // quantum): forbidden while a lock scope is open. writeLine /
-    // tryRun / runGuarded are the repo's own slow-path entry points;
-    // the rest are libc / std names.
+    // tryRun / catchPanic (which runs a whole supervised job) are the
+    // repo's own slow-path entry points; the rest are libc / std
+    // names.
     config.blockingCalls = {
         "writeLine", "sleepMs", "join",    "fsync",
         "fdatasync", "poll",    "send",    "recv",
         "accept",    "connect", "flush",   "tryRun",
-        "runGuarded",
+        "catchPanic",
     };
     return config;
 }
