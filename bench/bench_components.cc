@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 #include "engine/calendar.hh"
 #include "engine/pool.hh"
@@ -161,6 +163,7 @@ BENCHMARK(BM_RingTransfer);
 void
 BM_WarpTraceGeneration(benchmark::State &state)
 {
+    // Standalone traces: each warp builds its own private program.
     const auto &profile = trace::scalingWorkloads().front();
     trace::SegmentLayout layout(profile);
     unsigned cta = 0;
@@ -172,6 +175,28 @@ BM_WarpTraceGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WarpTraceGeneration);
+
+void
+BM_WarpTraceSharedProgram(benchmark::State &state)
+{
+    // What the simulator does: successive warps bind to one program
+    // built for the launch, and each is drained.
+    const auto &profile = trace::scalingWorkloads().front();
+    trace::SegmentLayout layout(profile);
+    trace::WarpProgram program(profile, layout, 0);
+    trace::WarpState warp;
+    std::vector<trace::AccessLane> lanes(program.lanesPerWarp());
+    unsigned cta = 0;
+    for (auto _ : state) {
+        program.bind(warp, lanes.data(), cta++ % profile.ctaCount, 0);
+        while (program.next(warp, lanes.data()).kind !=
+               isa::TraceOpKind::Exit) {
+        }
+        benchmark::DoNotOptimize(lanes.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_WarpTraceSharedProgram);
 
 void
 BM_SmallSimulation(benchmark::State &state)

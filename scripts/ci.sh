@@ -93,7 +93,7 @@ perf_dir="build/perf-smoke"
 mkdir -p "${perf_dir}"
 cmake --build build -j "${jobs}" --target bench_components
 build/bench/bench_components \
-    --benchmark_filter='Calendar|GenPool|PageTable|CacheAccess' \
+    --benchmark_filter='Calendar|GenPool|PageTable|CacheAccess|WarpTrace' \
     --benchmark_min_time=0.1 \
     --benchmark_out="${perf_dir}/microbench.json" \
     --benchmark_out_format=json > /dev/null

@@ -22,8 +22,7 @@ WarpEngine::resetRun()
 {
     instrs_.fill(0);
     profile_ = nullptr;
-    launchLayout_ = nullptr;
-    launchIndex_ = 0;
+    program_.reset();
 }
 
 std::string
@@ -58,6 +57,9 @@ WarpEngine::beginLaunch(const trace::KernelProfile &profile,
 {
     unsigned total_sms = static_cast<unsigned>(sms_.size());
     unsigned total_slots = total_sms * warpSlotsPerSm_;
+    program_.emplace(profile, layout, launch);
+    lanesPerWarp_ = program_->lanesPerWarp();
+    lanes_.resize(std::size_t{total_slots} * lanesPerWarp_);
     slots_.resize(total_slots);
     calendar_.reserve(total_slots);
     freeSlotsPerSm_.resize(total_sms);
@@ -73,8 +75,6 @@ WarpEngine::beginLaunch(const trace::KernelProfile &profile,
     ctaWarpsLeft_.assign(profile.ctaCount, 0);
 
     profile_ = &profile;
-    launchLayout_ = &layout;
-    launchIndex_ = launch;
 
     for (unsigned s = 0; s < total_sms; ++s)
         fillSm(s, start);
@@ -84,7 +84,7 @@ void
 WarpEngine::endLaunch()
 {
     profile_ = nullptr;
-    launchLayout_ = nullptr;
+    program_.reset();
 }
 
 void
@@ -108,12 +108,7 @@ WarpEngine::fillSm(unsigned sm_id, noc::Tick t)
             unsigned slot_id = freeSlotsPerSm_[sm_id].back();
             freeSlotsPerSm_[sm_id].pop_back();
             WarpSlot &slot = slots_[slot_id];
-            if (slot.trace)
-                slot.trace->reset(profile, *launchLayout_,
-                                  launchIndex_, cta, w);
-            else
-                slot.trace = std::make_unique<trace::WarpTrace>(
-                    profile, *launchLayout_, launchIndex_, cta, w);
+            program_->bind(slot.trace, lanesOf(slot_id), cta, w);
             slot.sm = sm_id;
             slot.cta = cta;
             slot.outstanding = 0;
@@ -160,7 +155,7 @@ WarpEngine::step(std::uint32_t slot_index, noc::Tick t)
         op = *slot.replay;
         slot.replay.reset();
     } else {
-        op = slot.trace->next();
+        op = program_->next(slot.trace, lanesOf(slot_index));
     }
 
     switch (op.kind) {
@@ -244,8 +239,6 @@ WarpEngine::step(std::uint32_t slot_index, noc::Tick t)
         break;
       }
       case isa::TraceOpKind::Exit: {
-        // The trace object is kept (dead but allocated) so the next
-        // dispatch into this slot can rebind it without allocating.
         slot.live = false;
         core.releaseSlot(t);
         freeSlotsPerSm_[slot.sm].push_back(slot_index);

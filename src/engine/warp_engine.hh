@@ -9,13 +9,17 @@
  * stores are handed to the MemPipeline; completions come back
  * through the WarpWaker interface, which wakes parked warps.
  *
- * The slot vector persists across launches and runs (the SM
- * geometry is fixed at construction): a launch leaves every slot
- * dead but keeps its WarpTrace allocation, which fillSm() rebinds in
- * place on the next dispatch. The free-slot lists are rebuilt in
- * slot order each launch so dispatch order never depends on the
- * previous launch's completion order — a prerequisite for
- * bit-identical machine reuse.
+ * Each launch builds one trace::WarpProgram that all its warps
+ * share. A slot holds its warp's stream state by value, and the
+ * warp's access lanes sit in one slot-major vector, so stepping a
+ * warp touches its slot, its run of lanes and the shared program.
+ * The slot and lane vectors persist across launches and runs (the SM
+ * geometry is fixed at construction; the lanes are resized to each
+ * launch's program), and fillSm() rebinds them in place on every
+ * dispatch. The free-slot lists are rebuilt in slot order each
+ * launch so dispatch order never depends on the previous launch's
+ * completion order — a prerequisite for bit-identical machine
+ * reuse.
  */
 
 #ifndef MMGPU_ENGINE_WARP_ENGINE_HH
@@ -23,7 +27,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -83,16 +86,16 @@ class WarpEngine : public Component, public WarpWaker
 
     /**
      * Prepare launch @p launch of @p profile starting at @p start:
-     * rebuild the free-slot lists, fill the per-GPM CTA queues via
-     * the policy, and dispatch the initial CTAs (pushing each
-     * resident warp's first event at @p start). @p profile and
-     * @p layout must stay alive until endLaunch().
+     * build the launch's warp program, rebuild the free-slot lists,
+     * fill the per-GPM CTA queues via the policy, and dispatch the
+     * initial CTAs (pushing each resident warp's first event at
+     * @p start). @p profile must stay alive until endLaunch().
      */
     void beginLaunch(const trace::KernelProfile &profile,
                      const trace::SegmentLayout &layout,
                      unsigned launch, noc::Tick start);
 
-    /** Drop the launch-scoped profile/layout references. */
+    /** Drop the launch-scoped profile and warp program. */
     void endLaunch();
 
     /** Process one warp continuation for @p slot_index at @p t. */
@@ -137,7 +140,7 @@ class WarpEngine : public Component, public WarpWaker
     /** A resident warp context bound to an SM warp slot. */
     struct WarpSlot
     {
-        std::unique_ptr<trace::WarpTrace> trace;
+        trace::WarpState trace; //!< lanes: see lanesOf()
         unsigned sm = 0; //!< flat SM id
         unsigned cta = 0;
         unsigned outstanding = 0; //!< loads in flight
@@ -147,6 +150,13 @@ class WarpEngine : public Component, public WarpWaker
     };
 
     void pushWarp(noc::Tick when, std::uint32_t slot);
+
+    /** The access lanes of @p slot's warp. */
+    trace::AccessLane *
+    lanesOf(std::uint32_t slot)
+    {
+        return lanes_.data() + std::size_t{slot} * lanesPerWarp_;
+    }
 
     /** Dispatch CTAs to @p sm while it has room; pushes warp events. */
     void fillSm(unsigned sm_id, noc::Tick t);
@@ -169,10 +179,12 @@ class WarpEngine : public Component, public WarpWaker
     unsigned gpmCount_;
 
     // Per-launch transient state. The containers persist across
-    // launches and runs so their backing storage (and the WarpTrace
-    // objects inside the slots) is allocated once and reused;
-    // beginLaunch() re-initializes the *contents* each launch.
+    // launches and runs so their backing storage is allocated once
+    // and reused; beginLaunch() re-initializes the *contents* each
+    // launch.
     std::vector<WarpSlot> slots_;
+    std::vector<trace::AccessLane> lanes_; //!< slot-major
+    std::size_t lanesPerWarp_ = 0;
     std::vector<std::vector<unsigned>> freeSlotsPerSm_;
     std::vector<sm::GpmCtaQueue> ctaQueues_;
     std::vector<unsigned> ctaWarpsLeft_;
@@ -180,8 +192,7 @@ class WarpEngine : public Component, public WarpWaker
 
     /** Launch-scoped context for CTA backfill from step(). */
     const trace::KernelProfile *profile_ = nullptr;
-    const trace::SegmentLayout *launchLayout_ = nullptr;
-    unsigned launchIndex_ = 0;
+    std::optional<trace::WarpProgram> program_;
 
     std::array<Count, isa::numOpcodes> instrs_{};
 

@@ -86,23 +86,40 @@ findRun(Map &entries, const RunRef &run)
 } // namespace
 
 /**
- * One memoized point: exactly one thread computes it (per-entry
- * once_flag); the outcome or the failure is then shared by every
- * caller. A failed point stays failed for the runner's lifetime —
- * re-querying fails fast instead of re-simulating.
+ * One memoized point: one thread at a time computes it (the
+ * per-entry mutex). The outcome, or a failure the inputs determine
+ * (an invalid configuration, a simulator panic: the simulator is
+ * deterministic, so a re-run fails the same way), is then shared by
+ * every caller, and re-querying it answers at once. A transient
+ * failure goes back to the caller that computed it and leaves the
+ * entry open, so the next caller computes afresh.
  */
 struct ScalingRunner::Entry
 {
-    std::once_flag once;
+    std::mutex mutex;
     std::atomic<bool> done{false};
     RunOutcome outcome;
     std::optional<SimError> error;
 };
 
+namespace
+{
+
+/** A failure the point's inputs do not determine: a watchdog or
+ *  budget cancel, or an injected harness fault. */
+bool
+transient(const SimError &error)
+{
+    return error.code == ErrCode::Timeout ||
+           error.code == ErrCode::InjectedFault;
+}
+
+} // namespace
+
 /**
  * The memo cache: one map under one mutex. The mutex covers only the
  * lookup or insertion (well under a microsecond); the per-entry
- * once_flag serializes the simulation of one key (tenths of a second
+ * mutex serializes the simulation of one key (tenths of a second
  * and up) without blocking other keys. Each entry is its own
  * allocation, so the references run() hands out stay valid while
  * other threads insert, whatever the container does with its nodes.
@@ -270,7 +287,7 @@ ScalingRunner::invalidateAllMachines()
     return machines_->retireAll();
 }
 
-ScalingRunner::Entry &
+Result<const RunOutcome *>
 ScalingRunner::ensure(const sim::GpuConfig &config,
                       const trace::KernelProfile &profile,
                       double link_energy_scale,
@@ -292,19 +309,28 @@ ScalingRunner::ensure(const sim::GpuConfig &config,
                      .first;
         entry = it->second.get();
     }
-    // First caller computes; concurrent callers of the same key
-    // block here until the outcome is ready, then share the node.
-    std::call_once(entry->once, [&] {
-        Result<RunOutcome> computed =
-            compute(config, profile, link_energy_scale,
-                    const_growth_override, cancel);
-        if (computed.ok())
-            entry->outcome = std::move(computed.value());
-        else
-            entry->error = computed.error();
-        entry->done.store(true, std::memory_order_release);
-    });
-    return *entry;
+    // A finished entry answers without a lock. Otherwise the first
+    // caller computes, and concurrent callers of the same key block
+    // on the entry until it is done (or, after a transient failure,
+    // compute it themselves).
+    if (!entry->done.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(entry->mutex);
+        if (!entry->done.load(std::memory_order_relaxed)) {
+            Result<RunOutcome> computed =
+                compute(config, profile, link_energy_scale,
+                        const_growth_override, cancel);
+            if (computed.ok())
+                entry->outcome = std::move(computed.value());
+            else if (transient(computed.error()))
+                return computed.error();
+            else
+                entry->error = computed.error();
+            entry->done.store(true, std::memory_order_release);
+        }
+    }
+    if (entry->error)
+        return *entry->error;
+    return Result<const RunOutcome *>(&entry->outcome);
 }
 
 const RunOutcome &
@@ -313,13 +339,14 @@ ScalingRunner::run(const sim::GpuConfig &config,
                    double link_energy_scale,
                    double const_growth_override)
 {
-    Entry &entry = ensure(config, profile, link_energy_scale,
-                          const_growth_override, nullptr);
-    if (entry.error) {
+    Result<const RunOutcome *> outcome =
+        ensure(config, profile, link_energy_scale,
+               const_growth_override, nullptr);
+    if (!outcome.ok()) {
         mmgpu_fatal("run ", config.name, "|", profile.name,
-                    " failed: ", entry.error->describe());
+                    " failed: ", outcome.error().describe());
     }
-    return entry.outcome;
+    return *outcome.value();
 }
 
 Result<const RunOutcome *>
@@ -329,11 +356,8 @@ ScalingRunner::tryRun(const sim::GpuConfig &config,
                       double const_growth_override,
                       const std::atomic<bool> *cancel)
 {
-    Entry &entry = ensure(config, profile, link_energy_scale,
-                          const_growth_override, cancel);
-    if (entry.error)
-        return *entry.error;
-    return Result<const RunOutcome *>(&entry.outcome);
+    return ensure(config, profile, link_energy_scale,
+                  const_growth_override, cancel);
 }
 
 bool

@@ -159,8 +159,8 @@ std::string runKeyName(const RunKey &key);
  * concurrently (this is what ParallelRunner does). The memo cache is
  * one mutex-protected std::map keyed by RunKey; each entry is its own
  * allocation, so the references run() returns stay valid while other
- * threads keep inserting, and exactly one thread computes any given
- * key (per-entry std::call_once) while others block until the outcome
+ * threads keep inserting, and one thread at a time computes any
+ * given key (a per-entry mutex) while others block until the outcome
  * is ready. Telemetry/persistent-cache configuration calls are not
  * synchronized: make them before the first concurrent run() (benches
  * configure, then drain).
@@ -203,9 +203,12 @@ class ScalingRunner
      * Like run(), but failures (invalid configurations, injected
      * harness faults, watchdog cancellation) come back as a SimError
      * instead of killing the process — what ParallelRunner uses to
-     * isolate a poisoned point from the rest of a sweep. The error
-     * is memoized like an outcome (a failed point fails fast on
-     * re-query); errors are never written to the persistent cache.
+     * isolate a poisoned point from the rest of a sweep. An error the
+     * inputs determine (an invalid configuration, a simulator panic)
+     * is memoized like an outcome and fails fast on re-query; a
+     * transient one (a watchdog timeout, an injected fault) is not,
+     * so the next call computes the point again. Errors are never
+     * written to the persistent cache.
      *
      * @param cancel Optional cooperative cancellation flag (the
      *        watchdog sets it); polled while an injected hang waits.
@@ -297,13 +300,16 @@ class ScalingRunner
     struct Cache;       // memo cache; defined in study.cc
     struct MachinePool; // idle build-once machines; in study.cc
 
-    /** Shared run()/tryRun() path: memoize outcome or error. */
+    /**
+     * Shared run()/tryRun() path: memoize the outcome or an error the
+     * inputs determine; hand a transient error back unmemoized.
+     */
     struct Entry;
-    Entry &ensure(const sim::GpuConfig &config,
-                  const trace::KernelProfile &profile,
-                  double link_energy_scale,
-                  double const_growth_override,
-                  const std::atomic<bool> *cancel);
+    Result<const RunOutcome *>
+    ensure(const sim::GpuConfig &config,
+           const trace::KernelProfile &profile,
+           double link_energy_scale, double const_growth_override,
+           const std::atomic<bool> *cancel);
 
     Result<RunOutcome> compute(const sim::GpuConfig &config,
                                const trace::KernelProfile &profile,

@@ -62,102 +62,48 @@ chunkOwnerCta(const KernelProfile &profile, const SegmentLayout &layout,
         std::min<std::uint64_t>(cta, profile.ctaCount - 1));
 }
 
-WarpTrace::WarpTrace(const KernelProfile &prof,
-                     const SegmentLayout &layout, unsigned launch,
-                     unsigned cta, unsigned warp)
-    : profile(&prof)
+WarpProgram::WarpProgram(const KernelProfile &prof,
+                         const SegmentLayout &layout, unsigned launch)
+    : launchRng(Rng(prof.seed).fork(0x1000003ull * launch + 1)),
+      iterations(prof.iterations), ctaCount(prof.ctaCount),
+      warpsPerCta(prof.warpsPerCta)
 {
-    reset(prof, layout, launch, cta, warp);
-}
-
-void
-WarpTrace::reset(const KernelProfile &prof, const SegmentLayout &layout,
-                 unsigned launch, unsigned cta, unsigned warp)
-{
-    profile = &prof;
-    rng = Rng(prof.seed)
-              .fork(0x1000003ull * launch + 1)
-              .fork(0x9E370001ull * cta + 3)
-              .fork(0x85EBCA77ull * warp + 7);
-    schedKinds.clear();
-    schedOps.clear();
-    schedAccess.clear();
-    loadLanes.clear();
-    storeLanes.clear();
-    iteration = 0;
-    cursor = 0;
-    drained_ = false;
-    finished_ = false;
-
-    mmgpu_assert(cta < prof.ctaCount && warp < prof.warpsPerCta,
-                 "warp identifiers out of range");
-
-    // Build per-access streaming state.
-    auto push_state = [&](const SegmentAccess &access,
-                          AccessLanes &lanes) {
+    // Each access's geometry: the segment, its CTA-partitioned
+    // chunks (line aligned) and a warp's slice of a chunk.
+    auto push_access = [&](const SegmentAccess &access, bool is_store) {
         std::uint64_t seg_base = layout.base(access.segment);
         Bytes seg_size = layout.size(access.segment);
-
-        // CTA-partitioned chunk, line aligned.
         Bytes chunk = alignUp(
             std::max<Bytes>(seg_size / prof.ctaCount,
                             isa::cacheLineBytes),
             isa::cacheLineBytes);
-        std::uint64_t cta_offset = static_cast<std::uint64_t>(cta) * chunk;
-        cta_offset %= seg_size; // wrap tiny segments
-        std::uint64_t cta_base = seg_base + cta_offset;
-
-        unsigned stride = std::max(1u, access.haloStride);
-        unsigned up = (cta + stride) % prof.ctaCount;
-        unsigned down = (cta + prof.ctaCount - stride % prof.ctaCount)
-                        % prof.ctaCount;
-        lanes.haloUpBase.push_back(
-            seg_base +
-            (static_cast<std::uint64_t>(up) * chunk) % seg_size);
-        lanes.haloDownBase.push_back(
-            seg_base +
-            (static_cast<std::uint64_t>(down) * chunk) % seg_size);
-
-        // Warp slice within the chunk.
         Bytes slice = alignUp(
             std::max<Bytes>(chunk / prof.warpsPerCta,
                             isa::cacheLineBytes),
             isa::cacheLineBytes);
-        cta_base += static_cast<std::uint64_t>(warp % prof.warpsPerCta)
-                    * slice;
-
-        lanes.ctaBase.push_back(cta_base);
-        lanes.span.push_back(slice);
-        lanes.segBase.push_back(seg_base);
-        lanes.segSize.push_back(seg_size);
-        // Iterative apps: every launch re-walks the same bytes, so
-        // position restarts at 0 for all launches by construction.
-        lanes.position.push_back(0);
+        accesses.push_back({seg_base, seg_size,
+                            seg_size / isa::cacheLineBytes, chunk, slice,
+                            slice / isa::cacheLineBytes, access.irregular,
+                            access.divergence, access.haloFraction,
+                            std::max(1u, access.haloStride),
+                            access.pattern, is_store});
     };
-
     for (const auto &access : prof.loads)
-        push_state(access, loadLanes);
+        push_access(access, false);
     for (const auto &access : prof.stores)
-        push_state(access, storeLanes);
+        push_access(access, true);
 
     // Build the per-iteration schedule: global loads (memory-level
     // parallelism is enforced by the simulator's per-warp outstanding
     // window, not by explicit syncs), shared loads, one aggregated
     // compute block, stores.
-    auto push_op = [&](SchedKind kind, isa::Opcode op,
-                       std::uint32_t access_index) {
-        schedKinds.push_back(kind);
-        schedOps.push_back(op);
-        schedAccess.push_back(access_index);
-    };
-
-    for (unsigned i = 0; i < prof.loads.size(); ++i) {
+    for (std::uint32_t i = 0; i < prof.loads.size(); ++i) {
         for (unsigned n = 0; n < prof.loads[i].perIteration; ++n)
-            push_op(SchedKind::GlobalLoad, isa::Opcode::LD_GLOBAL, i);
+            schedule.push_back({StepKind::Access, i});
     }
 
     for (unsigned n = 0; n < prof.sharedLoadsPerIter; ++n)
-        push_op(SchedKind::SharedLoad, isa::Opcode::LD_SHARED, 0);
+        schedule.push_back({StepKind::SharedLoad, 0});
 
     // Aggregate the compute mix into one dependent-chain block: the
     // block charges the SM issue pipeline for every instruction and
@@ -169,17 +115,43 @@ WarpTrace::reset(const KernelProfile &prof, const SegmentLayout &layout,
         block_latency += mix.perIteration * isa::defaultLatency(mix.op);
     }
     if (block_slots > 0) {
-        push_op(SchedKind::ComputeBlock, isa::Opcode::MOV32, 0);
+        schedule.push_back({StepKind::ComputeBlock, 0});
         blockOp = isa::TraceOp::computeBlock(block_slots, block_latency);
     }
 
-    for (unsigned i = 0; i < prof.stores.size(); ++i)
+    const auto first_store = static_cast<std::uint32_t>(prof.loads.size());
+    for (std::uint32_t i = 0; i < prof.stores.size(); ++i)
         for (unsigned n = 0; n < prof.stores[i].perIteration; ++n)
-            push_op(SchedKind::GlobalStore, isa::Opcode::ST_GLOBAL, i);
+            schedule.push_back({StepKind::Access, first_store + i});
 
-    mmgpu_assert(!schedKinds.empty(),
+    mmgpu_assert(!schedule.empty(),
                  "profile '", prof.name, "' generates empty warps");
-    (void)launch;
+}
+
+void
+WarpProgram::bind(WarpState &state, AccessLane *lanes, unsigned cta,
+                  unsigned warp) const
+{
+    mmgpu_assert(cta < ctaCount && warp < warpsPerCta,
+                 "warp identifiers out of range");
+    state = WarpState{launchRng.fork(0x9E370001ull * cta + 3)
+                          .fork(0x85EBCA77ull * warp + 7)};
+    for (std::size_t i = 0; i < accesses.size(); ++i) {
+        const AccessGeometry &access = accesses[i];
+        auto chunk_base = [&](unsigned owner) {
+            return access.segBase +
+                   (static_cast<std::uint64_t>(owner) * access.chunk) %
+                       access.segSize; // wrap tiny segments
+        };
+        unsigned up = (cta + access.haloStride) % ctaCount;
+        unsigned down =
+            (cta + ctaCount - access.haloStride % ctaCount) % ctaCount;
+        // Iterative apps: every launch re-walks the same bytes, so
+        // position restarts at 0 for all launches by construction.
+        lanes[i] = {chunk_base(cta) +
+                        static_cast<std::uint64_t>(warp) * access.slice,
+                    0, chunk_base(up), chunk_base(down)};
+    }
 }
 
 namespace
@@ -200,44 +172,39 @@ wrapAdvance(std::uint64_t pos, std::uint64_t step, std::uint64_t limit)
 } // namespace
 
 isa::TraceOp
-WarpTrace::makeAccess(const SegmentAccess &access, AccessLanes &lanes,
-                      unsigned index, bool is_store)
+WarpProgram::makeAccess(const AccessGeometry &access, AccessLane &lane,
+                        Rng &rng)
 {
     std::uint64_t addr = 0;
     std::uint8_t sectors = 4; // fully coalesced 128 B line
 
     const Bytes line = isa::cacheLineBytes;
-    std::uint64_t seg_base = lanes.segBase[index];
-    Bytes seg_size = lanes.segSize[index];
     AccessPattern pattern = access.pattern;
     if (access.irregular > 0.0 && rng.chance(access.irregular))
         pattern = AccessPattern::Random;
     switch (pattern) {
       case AccessPattern::BlockStream:
-        addr = lanes.ctaBase[index] + lanes.position[index];
-        lanes.position[index] = wrapAdvance(lanes.position[index],
-                                            line, lanes.span[index]);
+        addr = lane.sliceBase + lane.position;
+        lane.position = wrapAdvance(lane.position, line, access.slice);
         break;
       case AccessPattern::Stencil:
         if (rng.chance(access.haloFraction)) {
-            std::uint64_t base = rng.chance(0.5)
-                                     ? lanes.haloUpBase[index]
-                                     : lanes.haloDownBase[index];
-            addr = base + rng.below(lanes.span[index] / line) * line;
+            std::uint64_t base =
+                rng.chance(0.5) ? lane.haloUpBase : lane.haloDownBase;
+            addr = base + rng.below(access.sliceLines) * line;
         } else {
-            addr = lanes.ctaBase[index] + lanes.position[index];
-            lanes.position[index] = wrapAdvance(
-                lanes.position[index], line, lanes.span[index]);
+            addr = lane.sliceBase + lane.position;
+            lane.position =
+                wrapAdvance(lane.position, line, access.slice);
         }
         break;
       case AccessPattern::Random:
       case AccessPattern::Chase:
-        addr = seg_base + rng.below(seg_size / line) * line;
+        addr = access.segBase + rng.below(access.segLines) * line;
         break;
       case AccessPattern::Broadcast:
-        addr = seg_base + lanes.position[index];
-        lanes.position[index] =
-            wrapAdvance(lanes.position[index], line, seg_size);
+        addr = access.segBase + lane.position;
+        lane.position = wrapAdvance(lane.position, line, access.segSize);
         break;
       default:
         mmgpu_panic("bad access pattern");
@@ -247,37 +214,38 @@ WarpTrace::makeAccess(const SegmentAccess &access, AccessLanes &lanes,
         sectors = 8;
 
     // Keep divergent footprints inside the segment.
-    std::uint64_t span_end = seg_base + seg_size;
+    std::uint64_t span_end = access.segBase + access.segSize;
     if (addr + sectors * isa::sectorBytes > span_end)
         addr = span_end - sectors * isa::sectorBytes;
 
-    if (is_store)
+    if (access.isStore)
         return isa::TraceOp::storeGlobal(addr, sectors);
     return isa::TraceOp::loadGlobal(addr, sectors);
 }
 
 isa::TraceOp
-WarpTrace::materialize(std::size_t slot)
+WarpProgram::materialize(WarpState &state, AccessLane *lanes,
+                         Step step) const
 {
-    std::uint32_t access = schedAccess[slot];
-    switch (schedKinds[slot]) {
-      case SchedKind::Compute:
-        return isa::TraceOp::compute(schedOps[slot]);
-      case SchedKind::ComputeBlock:
+    switch (step.kind) {
+      case StepKind::ComputeBlock:
         return blockOp;
-      case SchedKind::SharedLoad:
+      case StepKind::SharedLoad:
         return isa::TraceOp::loadShared();
-      case SchedKind::GlobalLoad:
-        return makeAccess(profile->loads[access], loadLanes, access,
-                          false);
-      case SchedKind::GlobalStore:
-        return makeAccess(profile->stores[access], storeLanes, access,
-                          true);
-      case SchedKind::Sync:
-        return isa::TraceOp::sync();
+      case StepKind::Access:
+        return makeAccess(accesses[step.access], lanes[step.access],
+                          state.rng);
       default:
-        mmgpu_panic("bad schedule op");
+        mmgpu_panic("bad schedule step");
     }
+}
+
+WarpTrace::WarpTrace(const KernelProfile &profile,
+                     const SegmentLayout &layout, unsigned launch,
+                     unsigned cta, unsigned warp)
+    : program(profile, layout, launch), lanes(program.lanesPerWarp())
+{
+    program.bind(state, lanes.data(), cta, warp);
 }
 
 } // namespace mmgpu::trace

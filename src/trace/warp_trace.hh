@@ -2,12 +2,12 @@
  * @file
  * On-the-fly, deterministic warp trace generation.
  *
- * A WarpTrace turns a KernelProfile into the concrete TraceOp stream
- * of one warp. The stream for (profile, launch, cta, warp) depends
- * only on those identifiers — never on simulation interleaving — so
- * every GPM-count/bandwidth/topology configuration of an experiment
- * replays the *same* application, which is what makes the scaling
- * comparisons meaningful.
+ * A WarpProgram turns a KernelProfile into the concrete TraceOp
+ * stream of each warp of one launch. The stream for (profile, launch,
+ * cta, warp) depends only on those identifiers — never on simulation
+ * interleaving — so every GPM-count/bandwidth/topology configuration
+ * of an experiment replays the *same* application, which is what
+ * makes the scaling comparisons meaningful.
  */
 
 #ifndef MMGPU_TRACE_WARP_TRACE_HH
@@ -54,7 +54,7 @@ class SegmentLayout
 
 /**
  * The CTA that owns the chunk containing @p addr of segment @p seg
- * under the CTA-partitioned layout WarpTrace uses. Owner-CTA page
+ * under the CTA-partitioned layout WarpProgram uses. Owner-CTA page
  * placement (= idealized first touch) and locality tests build on
  * this.
  */
@@ -62,35 +62,68 @@ unsigned chunkOwnerCta(const KernelProfile &profile,
                        const SegmentLayout &layout, unsigned seg,
                        std::uint64_t addr);
 
-/** Generates the TraceOp stream of a single warp. */
-class WarpTrace
+/**
+ * One warp's stream state against one load or store of its program:
+ * where the warp's slice of its CTA's chunk starts, how far it has
+ * streamed, and its two halo neighbours' chunks.
+ */
+struct AccessLane
+{
+    std::uint64_t sliceBase = 0;    //!< the warp's slice of its chunk
+    std::uint64_t position = 0;     //!< offset of the next streamed line
+    std::uint64_t haloUpBase = 0;   //!< the +stride CTA's chunk
+    std::uint64_t haloDownBase = 0; //!< the -stride CTA's chunk
+};
+
+/**
+ * The rest of one warp's stream state: its random stream and where it
+ * stands in the program. Together with its lanes this is all that
+ * differs between the warps of a launch.
+ */
+struct WarpState
+{
+    Rng rng;
+    std::uint32_t cursor = 0; //!< next step of the iteration
+    unsigned iteration = 0;
+    bool drained = false;  //!< the final sync has been produced
+    bool finished = false; //!< Exit has been produced
+};
+
+/**
+ * What the warps of one launch share: the per-iteration schedule, the
+ * aggregated compute block and each access's segment geometry, built
+ * once per launch. A warp is bound to it as a WarpState plus
+ * lanesPerWarp() AccessLane records that the caller owns, so a
+ * machine keeps every warp's stream state inline instead of one
+ * trace object per warp.
+ */
+class WarpProgram
 {
   public:
     /**
-     * @param profile Kernel description (must outlive this object).
-     * @param layout Segment layout (must outlive this object).
+     * @param profile Kernel description (copied from; need not
+     *                outlive the program).
+     * @param layout Segment layout of @p profile.
      * @param launch Kernel launch index (affects nothing but the
      *               random streams of Random/Chase patterns, so
      *               iterative apps re-touch the same pages).
-     * @param cta Thread block id within the launch.
-     * @param warp Warp id within the block.
      */
-    WarpTrace(const KernelProfile &profile, const SegmentLayout &layout,
-              unsigned launch, unsigned cta, unsigned warp);
+    WarpProgram(const KernelProfile &profile, const SegmentLayout &layout,
+                unsigned launch);
+
+    /** Lanes one bound warp needs: one per load and store. */
+    std::size_t lanesPerWarp() const { return accesses.size(); }
 
     /**
-     * Re-bind this object to a (possibly different) warp identity,
-     * exactly as if freshly constructed with the same arguments but
-     * reusing the schedule/state vector allocations. The simulator's
-     * warp-slot pool calls this on every CTA dispatch, which keeps
-     * trace setup off the allocator in the steady state.
+     * Start warp @p warp of thread block @p cta: reset @p state and
+     * fill @p lanes, lanesPerWarp() of them.
      */
-    void reset(const KernelProfile &profile,
-               const SegmentLayout &layout, unsigned launch,
-               unsigned cta, unsigned warp);
+    void bind(WarpState &state, AccessLane *lanes, unsigned cta,
+              unsigned warp) const;
 
     /**
-     * Produce the next trace operation.
+     * Produce the next trace operation of the warp bound to @p state
+     * and @p lanes.
      * @return the op; TraceOpKind::Exit once the warp is finished
      *         (and forever after).
      *
@@ -99,95 +132,102 @@ class WarpTrace
      * per-kind materialization stays out of line.
      */
     isa::TraceOp
-    next()
+    next(WarpState &state, AccessLane *lanes) const
     {
-        if (finished_)
+        if (state.finished)
             return isa::TraceOp::exit();
-        if (iteration >= profile->iterations) {
-            if (!drained_) {
+        if (state.iteration >= iterations) {
+            if (!state.drained) {
                 // Wait for all in-flight loads before retiring.
-                drained_ = true;
+                state.drained = true;
                 return isa::TraceOp::sync();
             }
-            finished_ = true;
+            state.finished = true;
             return isa::TraceOp::exit();
         }
-        isa::TraceOp op = materialize(cursor);
-        if (++cursor >= schedKinds.size()) {
-            cursor = 0;
-            ++iteration;
+        isa::TraceOp op = materialize(state, lanes, schedule[state.cursor]);
+        if (++state.cursor >= schedule.size()) {
+            state.cursor = 0;
+            ++state.iteration;
         }
         return op;
     }
 
-    /** @return true once Exit has been produced. */
-    bool finished() const { return finished_; }
-
   private:
-    /** Kind of one slot of the per-iteration schedule. */
-    enum class SchedKind : std::uint8_t
+    /** Kind of one step of the per-iteration schedule. */
+    enum class StepKind : std::uint8_t
     {
-        Compute,
         ComputeBlock,
         SharedLoad,
-        GlobalLoad,
-        GlobalStore,
-        Sync,
+        Access, //!< a global load or store
     };
 
-    /**
-     * Streaming state against the SegmentAccesses of one direction
-     * (loads or stores), laid out struct-of-arrays: the schedule
-     * walk is a sequential scan over the one-byte kind lane, and an
-     * access touches its per-field lanes — the frequently-written
-     * stream position lives apart from the read-only geometry.
-     */
-    struct AccessLanes
+    struct Step
     {
-        std::vector<std::uint64_t> ctaBase;  //!< warp's chunk base
-        std::vector<Bytes> span;        //!< bytes streamed over
-        std::vector<std::uint64_t> position; //!< current offset
-        std::vector<std::uint64_t> segBase;  //!< whole-segment base
-        std::vector<Bytes> segSize;     //!< whole-segment size
-        std::vector<std::uint64_t> haloUpBase;   //!< +stride chunk
-        std::vector<std::uint64_t> haloDownBase; //!< -stride chunk
-
-        void
-        clear()
-        {
-            ctaBase.clear();
-            span.clear();
-            position.clear();
-            segBase.clear();
-            segSize.clear();
-            haloUpBase.clear();
-            haloDownBase.clear();
-        }
+        StepKind kind;
+        std::uint32_t access; //!< index into accesses (Access only)
     };
 
-    isa::TraceOp materialize(std::size_t slot);
-    isa::TraceOp makeAccess(const SegmentAccess &access,
-                            AccessLanes &lanes, unsigned index,
-                            bool is_store);
+    /** One load's or store's stream, the part every warp shares. */
+    struct AccessGeometry
+    {
+        std::uint64_t segBase;    //!< whole-segment base
+        Bytes segSize;            //!< whole-segment size
+        std::uint64_t segLines;   //!< segSize in cache lines
+        Bytes chunk;              //!< one CTA's chunk of the segment
+        Bytes slice;              //!< one warp's slice of a chunk
+        std::uint64_t sliceLines; //!< slice in cache lines
+        double irregular;
+        double divergence;
+        double haloFraction;
+        unsigned haloStride; //!< at least 1
+        AccessPattern pattern;
+        bool isStore;
+    };
 
-    // Pointer rather than a reference so reset() can re-bind the
-    // object (and so WarpTrace stays assignable for pooling).
-    const KernelProfile *profile;
+    isa::TraceOp materialize(WarpState &state, AccessLane *lanes,
+                             Step step) const;
+    static isa::TraceOp makeAccess(const AccessGeometry &access,
+                                   AccessLane &lane, Rng &rng);
 
-    // The per-iteration schedule, struct-of-arrays (parallel lanes
-    // indexed by the cursor).
-    std::vector<SchedKind> schedKinds;
-    std::vector<isa::Opcode> schedOps;       //!< for Compute
-    std::vector<std::uint32_t> schedAccess;  //!< load/store index
-
-    AccessLanes loadLanes;
-    AccessLanes storeLanes;
+    std::vector<Step> schedule;
+    std::vector<AccessGeometry> accesses; //!< loads, then stores
     isa::TraceOp blockOp; //!< the shared per-iteration compute block
-    Rng rng;
-    unsigned iteration = 0;
-    std::size_t cursor = 0;
-    bool drained_ = false;
-    bool finished_ = false;
+    Rng launchRng;        //!< the launch's fork of the profile seed
+    unsigned iterations;
+    unsigned ctaCount;
+    unsigned warpsPerCta;
+};
+
+/**
+ * The TraceOp stream of a single warp, standalone: a private
+ * WarpProgram with one warp bound to it. For tests and tools that
+ * look at one warp; the simulator binds its warps to one shared
+ * program per launch instead.
+ */
+class WarpTrace
+{
+  public:
+    /**
+     * @param profile Kernel description.
+     * @param layout Segment layout of @p profile.
+     * @param launch Kernel launch index.
+     * @param cta Thread block id within the launch.
+     * @param warp Warp id within the block.
+     */
+    WarpTrace(const KernelProfile &profile, const SegmentLayout &layout,
+              unsigned launch, unsigned cta, unsigned warp);
+
+    /** Produce the next trace operation (see WarpProgram::next). */
+    isa::TraceOp next() { return program.next(state, lanes.data()); }
+
+    /** @return true once Exit has been produced. */
+    bool finished() const { return state.finished; }
+
+  private:
+    WarpProgram program;
+    WarpState state;
+    std::vector<AccessLane> lanes;
 };
 
 } // namespace mmgpu::trace

@@ -101,8 +101,10 @@ TEST(FaultHarness, PoisonedPointIsIsolatedAndReported)
         }
     }
 
-    // The failure is memoized: re-querying fails fast with the same
-    // error instead of recomputing (or crashing).
+    // An injected fault is transient, so it is not memoized: the
+    // re-query computes the point again, and fails again (instead of
+    // crashing) because the plan still names it.
+    EXPECT_FALSE(runner.cached(config, workloads[1]));
     auto again = runner.tryRun(config, workloads[1]);
     ASSERT_FALSE(again.ok());
     EXPECT_EQ(again.error().code, ErrCode::InjectedFault);
@@ -151,6 +153,13 @@ TEST(FaultHarness, WatchdogCancelsInjectedHang)
     EXPECT_EQ(report.failures.front().error.code, ErrCode::Timeout);
     EXPECT_EQ(report.failures.front().key.profile.name, "fh1");
     EXPECT_EQ(report.completed, total - 1);
+
+    // A timeout is not the point's answer: once the hang is gone, the
+    // same runner simulates it.
+    runner.setFaultPlan(nullptr);
+    auto again = runner.tryRun(config, workloads[0]);
+    ASSERT_TRUE(again.ok()) << again.error().describe();
+    EXPECT_GT(again.value()->perf.execCycles, 0.0);
 }
 
 TEST(FaultHarness, ShortHangCompletesWithoutWatchdog)

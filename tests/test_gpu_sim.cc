@@ -8,8 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
+#include <string>
+
+#include "common/fields.hh"
 #include "sim/gpu_sim.hh"
 #include "telemetry/telemetry.hh"
+#include "trace/warp_trace.hh"
+#include "trace/workloads.hh"
 
 namespace
 {
@@ -510,6 +517,143 @@ TEST(GpuSim, SharedLoadsCountSharedTxns)
     EXPECT_EQ(result.mem.txns[static_cast<std::size_t>(
                   isa::TxnLevel::SharedToReg)],
               expected);
+}
+
+// ---------------------------------------------------------------- //
+// Trace goldens                                                    //
+// ---------------------------------------------------------------- //
+
+/** Exact bit pattern as text — failures print readable hexfloats. */
+std::string
+hexFloat(double v)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+SegmentAccess
+shapedAccess(unsigned segment, AccessPattern pattern,
+             unsigned per_iteration, double divergence, double irregular,
+             double halo = 0.1, unsigned halo_stride = 64)
+{
+    SegmentAccess access;
+    access.segment = segment;
+    access.pattern = pattern;
+    access.perIteration = per_iteration;
+    access.divergence = divergence;
+    access.irregular = irregular;
+    access.haloFraction = halo;
+    access.haloStride = halo_stride;
+    return access;
+}
+
+/**
+ * Every trace shape in one profile: all five access patterns, with
+ * divergence, irregular redirects and halos (one halo stride wider
+ * than the grid), shared loads, a compute mix, 6 loads + 3 stores
+ * (more accesses than any Table II profile) over segments from
+ * 1000 B to 3 MiB, and two launches.
+ */
+KernelProfile
+everyShapeProfile()
+{
+    KernelProfile p;
+    p.name = "every-shape";
+    p.ctaCount = 48;
+    p.warpsPerCta = 4;
+    p.iterations = 5;
+    p.launches = 2;
+    p.mlp = 6;
+    p.seed = 2026;
+    p.sharedLoadsPerIter = 2;
+    p.compute = {{isa::Opcode::FFMA32, 6},
+                 {isa::Opcode::SQRT32, 1},
+                 {isa::Opcode::IADD32, 3}};
+    p.segments = {{"grid", 3 * units::MiB},
+                  {"table", 768 * units::KiB + 100},
+                  {"params", 64 * units::KiB},
+                  {"tiny", 1000}};
+    p.loads = {
+        shapedAccess(0, AccessPattern::BlockStream, 2, 0.1, 0.05),
+        shapedAccess(0, AccessPattern::Stencil, 1, 0.2, 0.1, 0.3, 5),
+        shapedAccess(1, AccessPattern::Random, 1, 0.3, 0.0),
+        shapedAccess(1, AccessPattern::Chase, 1, 0.0, 0.0),
+        shapedAccess(2, AccessPattern::Broadcast, 1, 0.05, 0.15),
+        shapedAccess(3, AccessPattern::Stencil, 1, 0.0, 0.2, 0.5, 70),
+    };
+    p.stores = {
+        shapedAccess(2, AccessPattern::BlockStream, 1, 0.0, 0.0),
+        shapedAccess(0, AccessPattern::Stencil, 1, 0.1, 0.0, 0.2, 3),
+        shapedAccess(3, AccessPattern::Random, 1, 0.5, 0.0),
+    };
+    p.validate();
+    return p;
+}
+
+void
+expectPerfGolden(const PerfResult &result)
+{
+    Fnv1a digest;
+    hashFields(digest, result);
+    EXPECT_EQ(digest.digest(), 0x3544073e518b5549ull);
+    EXPECT_EQ(hexFloat(result.execCycles), "0x1.48b6p+13");
+    EXPECT_EQ(hexFloat(result.smBusyCycles), "0x1.b3p+14");
+    EXPECT_EQ(hexFloat(result.smStallCycles), "0x1.f295p+13");
+    EXPECT_EQ(hexFloat(result.smOccupiedCycles), "0x1.56254p+15");
+    EXPECT_EQ(hexFloat(result.dramQueueing), "0x1.ab1dcp+18");
+    EXPECT_EQ(hexFloat(result.linkQueueing), "0x1.ad28cp+16");
+    EXPECT_EQ(result.totalWarpInstrs(), 42240u);
+}
+
+// Goldens recorded before warps of a launch shared one trace program:
+// every op of every warp, and the run's results on a fresh and on a
+// reused machine (whose per-warp stream state was last sized for a
+// one-access profile), must keep these exact bits.
+TEST(TraceGoldens, EveryShapeKeepsItsStreamAndResultBits)
+{
+    const KernelProfile profile = everyShapeProfile();
+    const trace::SegmentLayout layout(profile);
+    Fnv1a ops;
+    Count op_count = 0;
+    for (unsigned launch = 0; launch < profile.launches; ++launch) {
+        for (unsigned cta = 0; cta < profile.ctaCount; ++cta) {
+            for (unsigned warp = 0; warp < profile.warpsPerCta; ++warp) {
+                trace::WarpTrace trace(profile, layout, launch, cta,
+                                       warp);
+                isa::TraceOp op;
+                do {
+                    op = trace.next();
+                    ops.addLow(static_cast<std::uint64_t>(op.kind), 1)
+                        .addLow(static_cast<std::uint64_t>(op.op), 1)
+                        .add(op.addr)
+                        .addLow(op.sectors, 1);
+                    ++op_count;
+                } while (op.kind != isa::TraceOpKind::Exit);
+            }
+        }
+    }
+    EXPECT_EQ(op_count, 25728u);
+    EXPECT_EQ(ops.digest(), 0x59b726b4559b7591ull);
+
+    const GpuConfig config = multiGpmConfig(4, BwSetting::Bw1x);
+    GpuSim fresh(config);
+    const PerfResult first = fresh.run(profile);
+    {
+        SCOPED_TRACE("fresh machine");
+        expectPerfGolden(first);
+    }
+
+    GpuSim reused(config);
+    std::optional<KernelProfile> one_access = trace::findWorkload("CoMD");
+    ASSERT_TRUE(one_access.has_value());
+    ASSERT_EQ(one_access->loads.size() + one_access->stores.size(), 1u);
+    reused.run(*one_access);
+    const PerfResult second = reused.run(profile);
+    {
+        SCOPED_TRACE("machine that first ran CoMD");
+        expectPerfGolden(second);
+    }
 }
 
 } // namespace

@@ -154,7 +154,8 @@ TEST(Study, SimulatorPanicBecomesAnErrorAndFreesItsMachine)
     ScalingRunner runner(context());
     runner.attachPersistentCache(nullptr);
     // No loads and no compute: every warp trace is empty, which the
-    // trace generator asserts against in the middle of the run.
+    // trace generator asserts against inside the run, when the first
+    // launch builds its warp program.
     auto broken = tinyWorkload("broken", trace::WorkloadClass::Compute);
     broken.loads.clear();
     broken.compute.clear();
@@ -166,6 +167,14 @@ TEST(Study, SimulatorPanicBecomesAnErrorAndFreesItsMachine)
                   "unavailable: simulation panicked: ", 0),
               0u)
         << failed.error().describe();
+
+    // The simulator is deterministic, so the panic is the point's
+    // answer: a re-ask gets the memoized error.
+    EXPECT_TRUE(runner.cached(sim::baselineConfig(), broken));
+    Result<const RunOutcome *> again =
+        runner.tryRun(sim::baselineConfig(), broken);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.error().describe(), failed.error().describe());
 
     // The unwind freed the crashed machine (a leak check fails the
     // process otherwise); the runner builds a fresh one for the next
